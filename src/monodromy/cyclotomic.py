@@ -62,8 +62,37 @@ def prime_power_components(n: int) -> Tuple[int, ...]:
     return tuple(p**m for p, m in factorize(n))
 
 
+# Miller-Rabin with these bases is deterministic below 3.3 * 10^24
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality test for 0 <= n < 2**64."""
+    if not 0 <= n < 2**64:
+        raise ValueError("is_prime needs 0 <= n < 2**64")
+    if n < 2:
+        return False
+    for q in _WITNESS_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESS_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _primes_upto(bound: int) -> Tuple[int, ...]:
-    return tuple(p for p in range(2, bound + 1) if factorize(p) == ((p, 1),))
+    return tuple(p for p in range(2, bound + 1) if is_prime(p))
 
 
 @dataclass(frozen=True)
@@ -289,14 +318,23 @@ class DegreeCertificate:
     unbounded: bool
 
 
+@lru_cache(maxsize=None)
 def semistability_degree(k: int, n: int, bound: int = 1000) -> DegreeCertificate:
     """lcm of the orders N <= bound with (zeta_N - 1)^k in n*Z[zeta_N].
 
-    An order is screened through its prime-power components first: if
-    zeta_q with q a component of N fails membership on its own, N
-    cannot pass, because zeta_q is a power of zeta_N and
+    Only orders with phi(N) <= k are searched: for any other order
+    (zeta_N - 1)^k is already reduced modulo Phi_N with leading
+    coefficient 1, so no n >= 2 divides it, and such N are never
+    admissible.  That leaves at most 2k^2 candidates whatever the
+    bound.  An order is screened through its prime-power components
+    first: if zeta_q with q a component of N fails membership on its
+    own, N cannot pass, because zeta_q is a power of zeta_N and
     n*Z[zeta_N] meets Z[zeta_q] in n*Z[zeta_q].  Survivors get a
     direct check, so the screen is only a shortcut.
+
+    The certificate depends on (k, n, bound) alone and is immutable,
+    so each one is computed once per process and then served from a
+    memo.
 
     Args:
       k: congruence exponent, >= 1.
@@ -311,7 +349,10 @@ def semistability_degree(k: int, n: int, bound: int = 1000) -> DegreeCertificate
     if n == 1:
         return DegreeCertificate(k, n, bound, (), None, True)
     admissible = [1]
-    for order in range(2, bound + 1):
+    # phi(N) >= sqrt(N/2), so N <= 2k^2 exhausts phi(N) <= k
+    for order in range(2, min(bound, 2 * k * k) + 1):
+        if euler_phi(order) > k:
+            continue
         comps = prime_power_components(order)
         if all(power_membership(q, k, n) for q in comps) and power_membership(
             order, k, n

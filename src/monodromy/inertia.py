@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .cyclotomic import (
@@ -22,10 +22,9 @@ from .cyclotomic import (
     cyclotomic_factor,
     semistability_degree,
 )
-from .matrices import IntMatrix, ModMatrix, char_poly, is_unipotent
+from .matrices import IntMatrix, char_poly, is_unipotent, smith_normal_form
 from .polynomials import IntPoly
 from .torsion import (
-    DegeneratePairingError,
     Polarization,
     Subgroup,
     TorsionModule,
@@ -85,6 +84,13 @@ class InertiaGenerator:
     factors of the characteristic polynomial.  unipotent_index is the
     nilpotency index of tau - I when tau is unipotent, with the
     identity assigned index 0, and None otherwise.
+
+    Data that several criteria read off tau ((tau - I)^2, the Smith
+    divisors of tau - I, the fixed subgroup and the fixed maximal
+    isotropic subgroup per level and polarization) is computed on first
+    use and kept on the instance.  It is not a dataclass field, so
+    equality, hashing and repr are unchanged, and it goes away with the
+    instance.
     """
 
     matrix: IntMatrix
@@ -110,8 +116,56 @@ class InertiaGenerator:
     def module(self, n: int) -> TorsionModule:
         return standard_module(n, self.dimension)
 
-    def fixed_at_level(self, n: int) -> Subgroup:
-        return fixed_subgroup(self.matrix, self.module(n))
+    @cached_property
+    def displacement_square(self) -> IntMatrix:
+        """(tau - I)^2 over Z."""
+        return _square_of_displacement(self.matrix)
+
+    @cached_property
+    def displacement_divisors(self) -> Tuple[int, ...]:
+        """Smith divisors of tau - I over Z, zeros last."""
+        return smith_normal_form(self.matrix - IntMatrix.identity(self.rank)).divisors
+
+    @cached_property
+    def _fixed(self) -> Dict[Tuple[int, Optional[Polarization]], Subgroup]:
+        return {}
+
+    @cached_property
+    def _isotropic(self) -> Dict[Tuple[int, Optional[Polarization]], Optional[Subgroup]]:
+        return {}
+
+    def fixed_at_level(self, n: int, pol: Optional[Polarization] = None) -> Subgroup:
+        """Points of the level-n module that tau fixes, in the module
+        carrying the pairing induced by pol (the standard one when pol
+        is None)."""
+        key = (n, pol)
+        if key not in self._fixed:
+            module = self.module(n)
+            if pol is not None:
+                module = induced_pairing(module, pol)
+            self._fixed[key] = fixed_subgroup(self.matrix, module)
+        return self._fixed[key]
+
+    def fixed_maximal_isotropic(self, n: int,
+                                pol: Optional[Polarization] = None) -> Optional[Subgroup]:
+        """The canonical fixed maximal isotropic subgroup at level n:
+        the isotropic extension of the fixed subgroup FIX when FIX-perp
+        <= FIX, and None when no fixed maximal isotropic subgroup exists.
+
+        Raises:
+          DegreeObstruction: induced pairing degenerate (polarization
+            degree shares a factor with n).
+        """
+        fix = self.fixed_at_level(n, pol)
+        if not fix.module.is_nondegenerate():
+            raise DegreeObstruction(
+                f"polarization degree {pol.degree} shares a factor with level {n}"
+            )
+        key = (n, pol)
+        if key not in self._isotropic:
+            exists = orthogonal_complement(fix).is_subgroup_of(fix)
+            self._isotropic[key] = extend_to_maximal_isotropic(fix) if exists else None
+        return self._isotropic[key]
 
 
 def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
@@ -198,14 +252,14 @@ def _square_of_displacement(a: IntMatrix) -> IntMatrix:
 
 def galois_criterion(gen: InertiaGenerator) -> bool:
     """Semistability itself: (tau - I)^2 = 0 over the integers."""
-    return _square_of_displacement(gen.matrix).is_zero()
+    return gen.displacement_square.is_zero()
 
 
 def square_zero_mod_n(gen: InertiaGenerator, n: int) -> bool:
     """(tau - I)^2 = 0 mod n.  For n >= 5 this is equivalent to
     semistability; for n <= 4 it can hold spuriously."""
     _require_tame_level(gen, n)
-    return _square_of_displacement(gen.matrix).reduce_mod(n).is_zero()
+    return gen.displacement_square.reduce_mod(n).is_zero()
 
 
 def semistable_after_extension(gen: InertiaGenerator, e: int) -> bool:
@@ -230,7 +284,7 @@ def is_good(gen: InertiaGenerator) -> bool:
 
 def is_purely_additive(gen: InertiaGenerator) -> bool:
     """1 is not an eigenvalue of tau: the fixed part has rank zero."""
-    return (gen.matrix - IntMatrix.identity(gen.rank)).det() != 0
+    return 0 not in gen.displacement_divisors
 
 
 def eigenvalue_order_check(gen: InertiaGenerator, m: int) -> bool:
@@ -250,9 +304,7 @@ def witness_exists(gen: InertiaGenerator, n: int,
     complement and the test collapses to FIX-perp <= FIX.
     """
     _require_tame_level(gen, n)
-    if module is None:
-        module = gen.module(n)
-    fix = fixed_subgroup(gen.matrix, module)
+    fix = gen.fixed_at_level(n) if module is None else fixed_subgroup(gen.matrix, module)
     return orthogonal_complement(fix).is_subgroup_of(fix)
 
 
@@ -268,11 +320,10 @@ def find_witness_subgroup(gen: InertiaGenerator, n: int,
     Raises:
       EnumerationCapError: subgroup enumeration refused (propagated).
     """
-    _require_tame_level(gen, n)
-    if module is None:
-        module = gen.module(n)
     if not witness_exists(gen, n, module):
         return None
+    if module is None:
+        module = gen.module(n)
     tau_mod = gen.matrix.reduce_mod(n)
     for sub in enumerate_subgroups(module, cap):
         if fixes_pointwise(tau_mod, sub) and fixes_pointwise(
@@ -312,16 +363,8 @@ def level_structure_criterion(gen: InertiaGenerator, n: int,
         factor with n); neither direction is then modeled.
     """
     _require_tame_level(gen, n)
-    if pol is None:
-        pol = Polarization.principal(gen.dimension)
-    module = induced_pairing(standard_module(n, gen.dimension), pol)
-    if not module.is_nondegenerate():
-        raise DegreeObstruction(
-            f"polarization degree {pol.degree} shares a factor with level {n}"
-        )
-    fix = fixed_subgroup(gen.matrix, module)
-    exists = orthogonal_complement(fix).is_subgroup_of(fix)
-    witness = extend_to_maximal_isotropic(fix) if exists else None
+    witness = gen.fixed_maximal_isotropic(n, pol)
+    exists = witness is not None
     semistable = galois_criterion(gen)
     agree = True
     if exists and n >= 5 and not semistable:
@@ -357,7 +400,8 @@ def exceptional_criterion(gen: InertiaGenerator, n: int,
         raise InertiaError("level must be >= 2")
     _require_tame_level(gen, n)
     degree = semistability_degree(2, n).degree
-    assert degree is not None
+    if degree is None:
+        raise AssertionError(f"semistability degree unbounded at level {n}")
     witness = find_witness_subgroup(gen, n, module, cap)
     citation = (
         f"a subgroup S at level {n} with tau trivial on S and on its "
@@ -382,17 +426,9 @@ def quartic_semistability_check(gen: InertiaGenerator,
     """
     if gen.residue_char == 2:
         raise WildRamification("the criterion needs residue characteristic != 2")
-    if pol is None:
-        pol = Polarization.principal(gen.dimension)
-    module = induced_pairing(standard_module(2, gen.dimension), pol)
-    if not module.is_nondegenerate():
-        raise DegreeObstruction(
-            f"polarization degree {pol.degree} is even: the mod-2 pairing degenerates"
-        )
-    fix = fixed_subgroup(gen.matrix, module)
-    if not orthogonal_complement(fix).is_subgroup_of(fix):
+    witness = gen.fixed_maximal_isotropic(2, pol)
+    if witness is None:
         raise HypothesisNotMet("no fixed maximal isotropic subgroup of the two-torsion")
-    witness = extend_to_maximal_isotropic(fix)
     conclusion = square_zero_mod_n(gen, 2) and semistable_after_extension(gen, 4)
     citation = (
         "a fixed maximal isotropic subgroup of the two-torsion forces "

@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 
 from .cyclotomic import cyclotomic_factor
 from .inertia import (
+    DegreeObstruction,
     HypothesisNotMet,
     InertiaError,
     InertiaGenerator,
@@ -27,15 +28,7 @@ from .inertia import (
     is_purely_additive,
 )
 from .matrices import IntMatrix, char_poly, smith_normal_form
-from .torsion import (
-    Polarization,
-    Subgroup,
-    extend_to_maximal_isotropic,
-    fixed_subgroup,
-    induced_pairing,
-    orthogonal_complement,
-    standard_module,
-)
+from .torsion import Polarization, Subgroup
 
 
 class NotPotentiallyGood(InertiaError):
@@ -84,8 +77,7 @@ def neron_invariants(gen: InertiaGenerator, p: Optional[int] = None) -> NeronInv
         raise NotPotentiallyGood("tau must have finite order")
     if p is None:
         p = gen.residue_char
-    displacement = gen.matrix - IntMatrix.identity(gen.rank)
-    divisors = smith_normal_form(displacement).divisors
+    divisors = gen.displacement_divisors
     zero_count = sum(1 for q in divisors if q == 0)
     # the fixed sublattice of a finite-order symplectic action is
     # symplectic, so the rational nullity of tau - I is even
@@ -149,9 +141,11 @@ def neron_torsion(gen: InertiaGenerator, n: int,
     assert fix.order == count, (fix.order, count)
     b: Optional[int] = None
     if n > 1:
-        guess = round(math.log(fix.order, n))
-        if n**guess == fix.order:
-            b = guess
+        exponent, power = 0, 1
+        while power < fix.order:
+            exponent, power = exponent + 1, power * n
+        if power == fix.order:
+            b = exponent
     return TorsionReport(n, fix.order, fix.structure, phi_n, b)
 
 
@@ -162,17 +156,10 @@ def _is_elementary_abelian(structure: Tuple[int, ...], q: int) -> bool:
 def _fixed_maximal_isotropic(gen: InertiaGenerator, n: int,
                              pol: Optional[Polarization] = None) -> Optional[Subgroup]:
     """The canonical fixed maximal isotropic at level n, or None."""
-    if pol is None:
-        pol = Polarization.principal(gen.dimension)
-    module = induced_pairing(standard_module(n, gen.dimension), pol)
-    if not module.is_nondegenerate():
-        raise HypothesisNotMet(
-            f"polarization degree {pol.degree} shares a factor with {n}"
-        )
-    fix = fixed_subgroup(gen.matrix, module)
-    if not orthogonal_complement(fix).is_subgroup_of(fix):
-        return None
-    return extend_to_maximal_isotropic(fix)
+    try:
+        return gen.fixed_maximal_isotropic(n, pol)
+    except DegreeObstruction as exc:
+        raise HypothesisNotMet(str(exc)) from None
 
 
 def verify_neron2(gen: InertiaGenerator,

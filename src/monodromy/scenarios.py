@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import (
@@ -29,6 +30,7 @@ from .catalog import (
     derive_seed,
     random_symplectic,
 )
+from .cyclotomic import is_prime
 from .inertia import InertiaGenerator, classify
 from .matrices import IntMatrix
 from .torsion import (
@@ -56,8 +58,14 @@ class Scenario:
     strictly_henselian: bool = False
     seed: int = 0
 
-    def generator(self) -> InertiaGenerator:
+    @cached_property
+    def _generator(self) -> InertiaGenerator:
         return classify(self.tau, self.residue_char)
+
+    def generator(self) -> InertiaGenerator:
+        """The classified generator, computed once per scenario and
+        kept on the instance outside the dataclass fields."""
+        return self._generator
 
     def to_json_dict(self) -> Dict:
         out: Dict = {
@@ -116,8 +124,8 @@ def scenario_from_dict(obj: Dict) -> Scenario:
         raise ScenarioError("scenario must be a JSON object")
     d = _require_int(obj, "d", 1)
     p = _require_int(obj, "p", 0)
-    if p == 1:
-        raise ScenarioError("field 'p' must be 0 or a prime, not 1")
+    if p >= 2**64 or (p != 0 and not is_prime(p)):
+        raise ScenarioError(f"field 'p' must be 0 or a prime below 2**64, not {p}")
     tau = _parse_matrix(obj.get("tau"), "tau") if "tau" in obj else None
     if tau is None:
         raise ScenarioError("missing required field 'tau'")

@@ -198,6 +198,10 @@ def _check_witness(tau: IntMatrix, module, pairs, tag: str) -> Tuple[int, List[s
 
 
 def _build_witness_equivalence(trials: int, seed: int, d_max: int) -> List[Unit]:
+    # the oracle enumerates every subgroup at level 5, and the
+    # enumeration refuses the d = 3 module (about 7.7e10 candidates)
+    if d_max > 2:
+        raise SuiteError(f"witness-equivalence needs d_max <= 2, got {d_max}")
     units: List[Unit] = []
     modules = {d: standard_module(5, d) for d in range(1, d_max + 1)}
     # complements are reused across every unit, so pay for them once

@@ -5,6 +5,8 @@ vector scans, closure by repeated addition.  Slow is fine; these only
 run on small inputs, and they share no code paths with the package.
 """
 
+import math
+from functools import lru_cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -58,7 +60,6 @@ def leibniz_char_poly(a: IntMatrix) -> IntPoly:
 
 def determinant_divisor_snf(a: IntMatrix) -> Tuple[int, ...]:
     """Smith divisors via gcds of k x k minors."""
-    import math
     from itertools import combinations
 
     limit = min(a.rows, a.cols)
@@ -184,7 +185,6 @@ def structure_from_counts(
     prod gcd(m, d_i).  The profile determines the multiset {d_i}, and
     a greedy search over divisor multisets recovers it.
     """
-    import math
     from itertools import combinations_with_replacement
 
     order = len(members)
@@ -218,3 +218,52 @@ def structure_from_counts(
             if ok:
                 return tuple(sorted(combo))
     raise AssertionError("no cyclic decomposition matched the counts")
+
+
+def _poly_divmod(num: List[int], den: List[int]) -> Tuple[List[int], List[int]]:
+    # coefficient lists, lowest degree first; den is monic
+    num = list(num)
+    quo = [0] * max(len(num) - len(den) + 1, 1)
+    for shift in range(len(num) - len(den), -1, -1):
+        c = num[shift + len(den) - 1]
+        quo[shift] = c
+        for i, d in enumerate(den):
+            num[shift + i] -= c * d
+    rem = num[: len(den) - 1] or [0]
+    return quo, rem
+
+
+@lru_cache(maxsize=None)
+def _naive_cyclotomic(order: int) -> Tuple[int, ...]:
+    """Phi_order by dividing x^order - 1 by Phi_d for every proper divisor d."""
+    poly = [-1] + [0] * (order - 1) + [1]
+    for d in range(1, order):
+        if order % d == 0:
+            poly, _ = _poly_divmod(poly, list(_naive_cyclotomic(d)))
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _naive_totient(order: int) -> int:
+    return sum(1 for i in range(1, order + 1) if math.gcd(i, order) == 1)
+
+
+def naive_semistability_degree(k: int, n: int, bound: int):
+    """(admissible orders, lcm) by checking every order in [2, bound]
+    directly: (x - 1)^k reduced modulo Phi_N, all coefficients
+    divisible by n.  None for n = 1, where every order is admissible."""
+    if n == 1:
+        return None
+    power = [1]
+    for _ in range(k):
+        power = [(power[i - 1] if i else 0) - (power[i] if i < len(power) else 0)
+                 for i in range(len(power) + 1)]
+    admissible = [1]
+    for order in range(2, bound + 1):
+        if _naive_totient(order) > k:
+            rem = power  # already of lower degree than Phi_N
+        else:
+            _, rem = _poly_divmod(power, list(_naive_cyclotomic(order)))
+        if all(c % n == 0 for c in rem):
+            admissible.append(order)
+    return tuple(admissible), math.lcm(*admissible)

@@ -88,6 +88,13 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "error:" in err and "symplectic" in err
 
+    def test_non_prime_residue_char(self, scenario_path, capsys):
+        path = scenario_path({"d": 1, "p": 4, "tau": [[1, 0], [0, 1]], "seed": 0})
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'p' must be 0 or a prime")
+        assert err.count("\n") == 1
+
     def test_wild_scenario(self, scenario_path, capsys):
         path = scenario_path({"d": 1, "p": 2, "tau": [[-1, 0], [0, -1]], "seed": 0})
         assert main(["analyze", path]) == 2
@@ -119,6 +126,16 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_witness_equivalence_refuses_unreachable_dimension(self, capsys):
+        argv = ["verify", "--suite", "witness-equivalence", "--trials", "1",
+                "--dmax", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: witness-equivalence needs d_max <= 2, got 3\n"
+        )
 
 
 class TestOracleSweep:

@@ -12,7 +12,34 @@ from monodromy import (
     quasi_unipotence_sweep,
     semistability_degree,
 )
-from monodromy.cyclotomic import CyclotomicInteger, factorize, prime_power_components
+from monodromy.cyclotomic import (
+    CyclotomicInteger,
+    factorize,
+    is_prime,
+    prime_power_components,
+)
+
+from _oracles import naive_semistability_degree
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        for n in range(3000):
+            expected = n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+            assert is_prime(n) == expected, n
+
+    def test_large_primes_and_pseudoprimes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(2**64 - 59)
+        # strong pseudoprimes to several small bases, and a Carmichael number
+        for n in (3215031751, 3825123056546413051, 561, 2**64 - 1):
+            assert not is_prime(n)
+
+    def test_range(self):
+        with pytest.raises(ValueError):
+            is_prime(2**64)
+        with pytest.raises(ValueError):
+            is_prime(-1)
 
 
 class TestFactorize:
@@ -143,6 +170,23 @@ class TestSemistabilityDegree:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             semistability_degree(0, 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_full_range_oracle(self, k):
+        for n in range(1, 41):
+            for bound in (1, 2, 5, 2 * k * k, 60, 1000):
+                cert = semistability_degree(k, n, bound)
+                expected = naive_semistability_degree(k, n, bound)
+                assert (cert.k, cert.n, cert.bound) == (k, n, bound)
+                if expected is None:
+                    assert cert.unbounded and cert.degree is None
+                    assert cert.admissible == ()
+                else:
+                    assert not cert.unbounded
+                    assert (cert.admissible, cert.degree) == expected, (k, n, bound)
+
+    def test_memoized(self):
+        assert semistability_degree(2, 5) is semistability_degree(2, 5)
 
 
 class TestCyclotomicFactor:

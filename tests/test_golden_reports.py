@@ -1,0 +1,59 @@
+"""Reports pinned byte for byte, and reports independent of what the
+per-generator caches already hold.
+
+golden_reports.json maps "d/index" (position in catalog_matrices(d))
+to the SHA-256 of canonical_json + render_text for the scenario
+(d, p = 0, tau).  It covers every d = 1 entry and every d = 2 entry
+that is not semistable; the semistable d = 2 entries run the witness
+scan and are left out to keep the suite fast.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from monodromy import (
+    Scenario,
+    build_report,
+    canonical_json,
+    render_text,
+    scenario_from_dict,
+)
+from monodromy.catalog import catalog_matrices
+
+with open(os.path.join(os.path.dirname(__file__), "golden_reports.json"),
+          encoding="utf-8") as fh:
+    GOLDEN = json.load(fh)
+
+
+def _bytes(scenario: Scenario) -> str:
+    report = build_report(scenario)
+    return canonical_json(report) + render_text(report)
+
+
+def _scenario(key: str) -> Scenario:
+    d, index = (int(part) for part in key.split("/"))
+    return Scenario(d, 0, catalog_matrices(d)[index])
+
+
+def test_golden_set_covers_the_fast_catalog():
+    assert sum(key.startswith("1/") for key in GOLDEN) == len(catalog_matrices(1))
+    assert sum(key.startswith("2/") for key in GOLDEN) == 105
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_report_matches_golden_digest(key):
+    digest = hashlib.sha256(_bytes(_scenario(key)).encode()).hexdigest()
+    assert digest == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", ["1/0", "1/4", "2/7", "2/9", "2/40"])
+def test_cached_generator_never_changes_a_report(key):
+    scenario = _scenario(key)
+    first = _bytes(scenario)
+    assert _bytes(scenario) == first
+    fresh = scenario_from_dict(json.loads(json.dumps(scenario.to_json_dict())))
+    assert fresh == scenario
+    assert _bytes(fresh) == first

@@ -25,10 +25,19 @@ from monodromy import (
     standard_symplectic_form,
     witness_exists,
 )
+from monodromy.catalog import block_sum
+from monodromy.cyclotomic import DegreeCertificate
 from monodromy.inertia import (
     eigenvalue_order_check,
     is_good,
     is_purely_additive,
+)
+from monodromy.matrices import smith_normal_form
+from monodromy.torsion import (
+    extend_to_maximal_isotropic,
+    fixed_subgroup,
+    induced_pairing,
+    standard_module,
 )
 
 I2 = IntMatrix.identity(2)
@@ -369,3 +378,46 @@ class TestPurelyAdditiveCriteria:
         )
         with pytest.raises(HypothesisNotMet):
             purely_additive_criteria(classify(mixed))
+
+
+class TestGeneratorMemo:
+    def test_fixed_subgroup_computed_once_per_level_and_polarization(self):
+        g = classify(block_sum([MINUS, SHEAR]))
+        assert g.fixed_at_level(4) is g.fixed_at_level(4)
+        assert g.fixed_at_level(4) == fixed_subgroup(g.matrix, standard_module(4, 2))
+        pol = Polarization.scalar(2, 3)
+        induced = g.fixed_at_level(4, pol)
+        assert induced is g.fixed_at_level(4, pol)
+        assert induced == fixed_subgroup(
+            g.matrix, induced_pairing(standard_module(4, 2), pol)
+        )
+        assert induced.module != g.fixed_at_level(4).module
+
+    def test_fixed_maximal_isotropic_matches_direct_extension(self):
+        g = classify(block_sum([MINUS, SHEAR]))
+        fix = fixed_subgroup(g.matrix, standard_module(2, 2))
+        assert g.fixed_maximal_isotropic(2) == extend_to_maximal_isotropic(fix)
+        assert g.fixed_maximal_isotropic(2) is g.fixed_maximal_isotropic(2)
+        assert classify(ROT4).fixed_maximal_isotropic(5) is None
+
+    def test_memo_is_invisible_to_equality_hash_and_repr(self):
+        g = classify(ROT4, 3)
+        before = (repr(g), hash(g))
+        g.displacement_divisors
+        g.fixed_at_level(2)
+        g.fixed_maximal_isotropic(2)
+        assert (repr(g), hash(g)) == before
+        assert g == classify(ROT4, 3)
+
+    def test_displacement_divisors(self):
+        g = classify(block_sum([MINUS, I2]))
+        expected = smith_normal_form(g.matrix - IntMatrix.identity(4)).divisors
+        assert g.displacement_divisors == expected == (2, 2, 0, 0)
+
+    def test_unbounded_degree_is_refused_without_assert(self, monkeypatch):
+        import monodromy.inertia as inertia
+
+        unbounded = DegreeCertificate(2, 5, 1000, (), None, True)
+        monkeypatch.setattr(inertia, "semistability_degree", lambda k, n: unbounded)
+        with pytest.raises(AssertionError, match="unbounded"):
+            exceptional_criterion(classify(MINUS), 5)

@@ -73,6 +73,20 @@ class TestNeronInvariants:
         with pytest.raises(NotPotentiallyGood):
             neron_invariants(classify(SHEAR))
 
+    def test_reads_the_generator_smith_divisors(self, monkeypatch):
+        import monodromy.inertia as inertia
+
+        calls = []
+        real = inertia.smith_normal_form
+        monkeypatch.setattr(
+            inertia, "smith_normal_form", lambda a: calls.append(a) or real(a)
+        )
+        g = classify(MIXED)
+        first = neron_invariants(g)
+        assert neron_invariants(g) == first
+        assert neron_invariants(g, 2) != first
+        assert len(calls) == 1
+
 
 class TestNeronTorsion:
     def test_minus_identity_levels(self):
@@ -98,6 +112,21 @@ class TestNeronTorsion:
         assert rep.fixed_structure == (3, 3, 3)
         assert rep.phi_torsion == (3,)
         assert rep.b_exponent == 3
+
+    def test_b_exponent_exact_at_large_level(self):
+        n = 2**61 - 1
+        rep = neron_torsion(classify(block_sum([I2, I2, MINUS])), n)
+        assert rep.fixed_order == n**4
+        assert rep.b_exponent == 4
+        rep = neron_torsion(classify(MINUS), 10**30)
+        assert rep.fixed_order == 4
+        assert rep.b_exponent is None
+
+    def test_b_exponent_absent_off_powers(self):
+        # -I fixes the 2-torsion inside the 6-torsion: order 4, not a power of 6
+        rep = neron_torsion(classify(MINUS), 6)
+        assert rep.fixed_order == 4
+        assert rep.b_exponent is None
 
     def test_wild_level_rejected(self):
         with pytest.raises(WildRamification):

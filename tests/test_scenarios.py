@@ -77,11 +77,35 @@ class TestScenarioParsing:
             (minimal(flags=[]), "field 'flags' must be an object"),
             (minimal(flags={"fast": True}), "unknown flags"),
             (minimal(flags={"strictly_henselian": 1}), "must be a boolean"),
+            (minimal(p=4), "field 'p' must be 0 or a prime"),
+            (minimal(p=91), "field 'p' must be 0 or a prime"),
+            (minimal(p=2**64 + 13), "field 'p' must be 0 or a prime below 2\\*\\*64"),
         ],
     )
     def test_rejects_with_named_field(self, obj, fragment):
         with pytest.raises(ScenarioError, match=fragment):
             scenario_from_dict(obj)
+
+    def test_large_prime_accepted(self):
+        assert scenario_from_dict(minimal(p=2**61 - 1)).residue_char == 2**61 - 1
+
+    def test_generator_classified_once(self, monkeypatch):
+        import monodromy.scenarios as scenarios
+
+        calls = []
+        real = scenarios.classify
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scenarios, "classify", counting)
+        s = scenario_from_dict(minimal(tau=MINUS, p=3))
+        before = (repr(s), hash(s))
+        assert s.generator() is s.generator()
+        assert len(calls) == 1
+        assert (repr(s), hash(s)) == before
+        assert s == Scenario(1, 3, IntMatrix(MINUS))
 
     def test_load_scenario(self, tmp_path):
         path = tmp_path / "s.json"
