@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -35,8 +36,21 @@ class SingularMatrixError(MatrixError):
     pass
 
 
+def _entry(x) -> int:
+    # bool is an int subclass and a float would be truncated by int(),
+    # so both are refused rather than converted.
+    if isinstance(x, bool):
+        raise MatrixError("matrix entries must be integers, not bool")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise MatrixError(
+            f"matrix entries must be integers, not {type(x).__name__}"
+        ) from None
+
+
 def _freeze(data: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in data)
+    return tuple(tuple(_entry(x) for x in row) for row in data)
 
 
 class IntMatrix:
@@ -55,16 +69,35 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", frozen)
 
+    @classmethod
+    def _trusted(cls, data: Tuple[Tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap a nonempty rectangular tuple of tuples of ints as is.
+
+        Only for results computed here from matrices that were already
+        validated; outside data goes through __init__.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", len(data[0]))
+        object.__setattr__(m, "data", data)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise DimensionError("IntMatrix dimensions must be positive")
+        return IntMatrix._trusted(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise DimensionError("IntMatrix dimensions must be positive")
+        return IntMatrix._trusted(((0,) * cols,) * rows)
 
     @staticmethod
     def from_diag(entries: Sequence[int]) -> "IntMatrix":
@@ -79,7 +112,7 @@ class IntMatrix:
         return [list(r) for r in self.data]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return IntMatrix._trusted(tuple(zip(*self.data)))
 
     def trace(self) -> int:
         if not self.is_square:
@@ -102,23 +135,23 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return IntMatrix._trusted(tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
+        ))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return IntMatrix._trusted(tuple(
+            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
+        ))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.data])
+        return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self.data))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
-        return IntMatrix([[a * scalar for a in row] for row in self.data])
+        return IntMatrix._trusted(tuple(tuple(a * scalar for a in row) for row in self.data))
 
     __rmul__ = __mul__
 
@@ -127,10 +160,10 @@ class IntMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionError("inner dimensions do not match")
-        bt = other.transpose().data
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
-        )
+        bt = tuple(zip(*other.data))
+        return IntMatrix._trusted(tuple(
+            tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data
+        ))
 
     def __pow__(self, e: int) -> "IntMatrix":
         if not self.is_square:
@@ -230,7 +263,7 @@ class ModMatrix:
     def lift(self) -> IntMatrix:
         if self.rows == 0:
             raise DimensionError("cannot lift a zero-row matrix")
-        return IntMatrix(self.data)
+        return IntMatrix._trusted(self.data)
 
     def to_lists(self) -> List[List[int]]:
         return [list(r) for r in self.data]
@@ -585,7 +618,8 @@ def char_poly(a: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(x*I - a), exactly over Z.
 
     Faddeev-LeVerrier: every division is exact, and the Cayley-Hamilton
-    identity is asserted at the end as an internal check.
+    identity is checked at the end; both checks raise AssertionError
+    in every interpreter mode.
     """
     if not a.is_square:
         raise DimensionError("characteristic polynomial needs a square matrix")
@@ -596,10 +630,12 @@ def char_poly(a: IntMatrix) -> IntPoly:
     for k in range(1, n + 1):
         am = a @ m
         q, rem = divmod(-am.trace(), k)
-        assert rem == 0, "Faddeev-LeVerrier division must be exact"
+        if rem:
+            raise AssertionError("Faddeev-LeVerrier division must be exact")
         coeffs[n - k] = q
         m = am + q * IntMatrix.identity(n)
-    assert m.is_zero(), "Cayley-Hamilton check failed"
+    if not m.is_zero():
+        raise AssertionError("Cayley-Hamilton check failed")
     return IntPoly(coeffs)
 
 

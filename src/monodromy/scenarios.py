@@ -142,6 +142,9 @@ def scenario_from_dict(obj: Dict) -> Scenario:
             raise ScenarioError(
                 f"field 'polarization' must be {2 * d} x {2 * d} for d = {d}"
             )
+        if mat.det() == 0:
+            raise ScenarioError("field 'polarization' must be nonsingular, "
+                                "but its determinant is 0")
         pol = Polarization(mat)
     level = None
     if "n" in obj:

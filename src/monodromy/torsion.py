@@ -216,7 +216,8 @@ def _structure(level: int, rank: int, gens: ModMatrix) -> Tuple[int, ...]:
         row = []
         for j in range(rank):
             num = level * adj.data[i][j]
-            assert num % det == 0, "preimage lattice must contain n Z^c"
+            if num % det:
+                raise AssertionError("preimage lattice must contain n Z^c")
             row.append(num // det)
         c_rows.append(row)
     snf = smith_normal_form(IntMatrix(c_rows))
@@ -376,7 +377,8 @@ def enumerate_subgroups(module: TorsionModule, cap: int = 10**6) -> Tuple[Subgro
                     pos += 1
             if _contains_scaled_basis(h, n, c):
                 found.append(Subgroup(module, howell_form(ModMatrix(n, h, c))))
-    assert len(set(f.gens for f in found)) == len(found)
+    if len(set(f.gens for f in found)) != len(found):
+        raise AssertionError("subgroup enumeration produced a duplicate")
     found.sort(key=lambda s: (s.gens.rows, s.gens.data))
     return tuple(found)
 
@@ -430,5 +432,6 @@ def extend_to_maximal_isotropic(s: Subgroup) -> Subgroup:
         else:
             raise AssertionError("greedy isotropic extension ran out of candidates")
     out = Subgroup(module, howell_form(ModMatrix(module.level, gens, module.rank)))
-    assert out == orthogonal_complement(out)
+    if out != orthogonal_complement(out):
+        raise AssertionError("isotropic extension is not self-orthogonal")
     return out

@@ -95,6 +95,15 @@ class TestAnalyze:
         assert err.startswith("error: field 'p' must be 0 or a prime")
         assert err.count("\n") == 1
 
+    def test_singular_polarization(self, scenario_path, capsys):
+        path = scenario_path({"d": 1, "p": 0, "tau": [[1, 0], [0, 1]], "seed": 0,
+                              "polarization": [[0, 0], [0, 0]]})
+        assert main(["analyze", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: field 'polarization' must be nonsingular")
+        assert captured.err.count("\n") == 1
+
     def test_wild_scenario(self, scenario_path, capsys):
         path = scenario_path({"d": 1, "p": 2, "tau": [[-1, 0], [0, -1]], "seed": 0})
         assert main(["analyze", path]) == 2

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +27,8 @@ from _oracles import (
     leibniz_det,
     span_closure,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def rnd_int_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -75,6 +80,33 @@ class TestIntMatrix:
     def test_transpose(self):
         a = IntMatrix([[1, 2, 3], [4, 5, 6]])
         assert a.transpose().data == ((1, 4), (2, 5), (3, 6))
+
+    @pytest.mark.parametrize("entry,kind", [
+        (1.7, "float"), (1.0, "float"), (True, "bool"), (False, "bool"), ("1", "str"),
+    ])
+    def test_non_integer_entries_rejected(self, entry, kind):
+        with pytest.raises(MatrixError, match=f"integers, not {kind}"):
+            IntMatrix([[1, 0], [entry, 1]])
+
+    @pytest.mark.parametrize("make", [
+        lambda: IntMatrix.identity(0),
+        lambda: IntMatrix.zeros(0, 2),
+        lambda: IntMatrix.zeros(2, 0),
+    ])
+    def test_empty_shapes_rejected(self, make):
+        with pytest.raises(DimensionError):
+            make()
+
+    def test_results_match_validated_construction(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            a, b = rnd_int_matrix(rng, 2, 3), rnd_int_matrix(rng, 3, 2)
+            for result in (a @ b, a.transpose(), -a, a - a, a + a, 3 * a,
+                           IntMatrix.identity(3), IntMatrix.zeros(2, 3)):
+                rebuilt = IntMatrix(result.to_lists())
+                assert (result.rows, result.cols, result.data) == (
+                    rebuilt.rows, rebuilt.cols, rebuilt.data)
+                assert all(type(x) is int for row in result.data for x in row)
 
 
 class TestModMatrix:
@@ -208,6 +240,21 @@ class TestCharPoly:
         assert char_poly(IntMatrix([[0, -1], [1, -1]])).coeffs == (1, 1, 1)
         assert char_poly(IntMatrix([[0, -1], [1, 0]])).coeffs == (1, 0, 1)
         assert char_poly(IntMatrix.identity(2)).coeffs == (1, -2, 1)
+
+    def test_cayley_hamilton_check_survives_optimize(self):
+        # A broken is_zero makes the final check fail; under python -O an
+        # assert statement would vanish, the explicit raise must not.
+        code = (
+            "import monodromy.matrices as m\n"
+            "assert False, 'assert statements must be stripped here'\n"
+            "m.IntMatrix.is_zero = lambda self: False\n"
+            "m.char_poly(m.IntMatrix([[1, 1], [0, 1]]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.rstrip().endswith("AssertionError: Cayley-Hamilton check failed")
 
 
 class TestExteriorPower:

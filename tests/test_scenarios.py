@@ -80,6 +80,8 @@ class TestScenarioParsing:
             (minimal(p=4), "field 'p' must be 0 or a prime"),
             (minimal(p=91), "field 'p' must be 0 or a prime"),
             (minimal(p=2**64 + 13), "field 'p' must be 0 or a prime below 2\\*\\*64"),
+            (minimal(polarization=[[0, 0], [0, 0]]), "field 'polarization' must be nonsingular"),
+            (minimal(polarization=[[1, 2], [2, 4]]), "field 'polarization' must be nonsingular"),
         ],
     )
     def test_rejects_with_named_field(self, obj, fragment):
