@@ -11,9 +11,9 @@ transport of subgroups and verdicts never inverts anything afterwards.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .matrices import IntMatrix
+from .matrices import IntMatrix, standard_symplectic_form
 
 IDENTITY_2 = IntMatrix.identity(2)
 MINUS_IDENTITY_2 = IntMatrix([[-1, 0], [0, -1]])
@@ -91,17 +91,9 @@ def _split_blocks(m: IntMatrix) -> List[IntMatrix]:
     return out
 
 
-def _form(d: int) -> IntMatrix:
-    g = [[0] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        g[i][d + i] = 1
-        g[d + i][i] = -1
-    return IntMatrix(g)
-
-
 def symplectic_transvection(d: int, v: Sequence[int], c: int) -> IntMatrix:
     """x maps to x + c<x, v>v; symplectic for every integer c."""
-    j = _form(d)
+    j = standard_symplectic_form(d)
     n = 2 * d
     jv = [sum(j.data[i][k] * v[k] for k in range(n)) for i in range(n)]
     # <x, v> = x^T J v = (Jv) . x, so the update is the rank-one
@@ -165,7 +157,7 @@ _MASK64 = (1 << 64) - 1
 
 def derive_seed(seed: int, index: int) -> int:
     """Stable per-trial seed stream: trial i depends only on (seed, i),
-    never on how many trials ran before it or on which thread."""
+    never on how many trials ran before it."""
     z = (seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -60,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=200)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--dmax", type=int, default=2)
-    verify.add_argument("--jobs", type=int, default=1)
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     tables = sub.add_parser("tables", help="print exceptional levels or degrees")
@@ -110,7 +109,7 @@ def _cmd_verify(args) -> int:
     from .suites import run_suite
 
     report = run_suite(args.suite, trials=args.trials, seed=args.seed,
-                       d_max=args.dmax, jobs=args.jobs)
+                       d_max=args.dmax)
     if args.format == "json":
         sys.stdout.write(canonical_json(report.to_json_dict()))
     else:

@@ -19,10 +19,10 @@ from .inertia import (
     InertiaError,
     InertiaGenerator,
     Verdict,
-    _require_tame_level,
     galois_criterion,
     is_good,
     is_purely_additive,
+    require_tame,
     semistable_after_extension,
 )
 from .matrices import IntMatrix, ModMatrix, exterior_power
@@ -61,7 +61,7 @@ def cohomology_action(gen: InertiaGenerator, k: int, n: int = 0) -> CohomologyAc
     if n < 0:
         raise ValueError("modulus must be >= 0")
     if n > 0:
-        _require_tame_level(gen, n)
+        require_tame(gen.residue_char, n)
     base_z = gen.matrix.transpose().inverse_unimodular()
     if n == 0:
         base: Union[IntMatrix, ModMatrix] = base_z
@@ -115,7 +115,7 @@ def higher_cohomology_criterion(
         raise PreconditionExcluded(
             f"level {n} is exceptional for exponent {k + 1}"
         )
-    _require_tame_level(gen, n)
+    require_tame(gen.residue_char, n)
     if k % 2 == 0 and gen.residue_char == 2 and not strictly_henselian:
         raise HypothesisNotMet(
             "even degree at residue characteristic 2 needs the strictly "
@@ -132,7 +132,11 @@ def higher_cohomology_criterion(
         if gen.potentially_good:
             identity = IntMatrix.identity(gen.rank)
             collapse = gen.matrix == identity or gen.matrix == -identity
-            assert reduction_side == collapse
+            if reduction_side != collapse:
+                raise AssertionError(
+                    f"even-degree reduction side {reduction_side} but tau = +-I "
+                    f"is {collapse}"
+                )
     vanishing = hk_vanishing(gen, k, n)
     citation = (
         "away from exceptional levels, degree-k cohomology mod n is "

@@ -1,14 +1,15 @@
-"""Exact arithmetic in rings of cyclotomic integers.
+"""Root-of-unity congruences, decided exactly.
 
-Elements of Z[zeta_N] are integer coefficient vectors in the power
-basis 1, zeta, ..., zeta^(phi(N)-1), reduced modulo the N-th cyclotomic
-polynomial, so every computation here is exact.  The driving question
-is for which moduli n the ideal membership (zeta_N - 1)^k in
-n*Z[zeta_N] can hold with zeta_N != 1.  The answer is controlled by the
-set of prime powers l^m with m(l-1) <= k; outside that set membership
-forces the root of unity to be trivial, and the least common multiple
-of the admissible orders is the extension degree needed to kill the
-finite-order part of a quasi-unipotent action.
+The driving question is for which moduli n the ideal membership
+(zeta_N - 1)^k in n*Z[zeta_N] can hold with zeta_N != 1.  It is
+decided on the power basis 1, zeta, ..., zeta^(phi(N)-1): the remainder
+of (x - 1)^k modulo the N-th cyclotomic polynomial must have every
+coefficient divisible by n.  The answer is controlled by the set of
+prime powers l^m with m(l-1) <= k; outside that set membership forces
+the root of unity to be trivial, and the least common multiple of the
+admissible orders is the extension degree needed to kill the
+finite-order part of a quasi-unipotent action.  Characteristic
+polynomials are split into cyclotomic factors here as well.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, Optional, Tuple
 
-from .matrices import IntMatrix, char_poly
 from .polynomials import IntPoly, cyclotomic_poly
 
 
@@ -130,98 +130,6 @@ def exceptional_prime_powers(k: int) -> PrimePowerSet:
             members.add(l**m)
             m += 1
     return PrimePowerSet(k, tuple(sorted(members)))
-
-
-@dataclass(frozen=True, init=False)
-class CyclotomicInteger:
-    """Element of Z[zeta_N] in the power basis modulo Phi_N."""
-
-    order: int
-    coeffs: Tuple[int, ...]
-
-    def __init__(self, order: int, coeffs) -> None:
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        reduced = IntPoly(coeffs) % cyclotomic_poly(order)
-        phi = euler_phi(order)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(reduced.coeff(i) for i in range(phi)))
-
-    @staticmethod
-    def zero(order: int) -> "CyclotomicInteger":
-        return CyclotomicInteger(order, ())
-
-    @staticmethod
-    def one(order: int) -> "CyclotomicInteger":
-        return CyclotomicInteger(order, (1,))
-
-    @staticmethod
-    def root(order: int) -> "CyclotomicInteger":
-        """zeta_N itself."""
-        return CyclotomicInteger(order, (0, 1))
-
-    def _poly(self) -> IntPoly:
-        return IntPoly(self.coeffs)
-
-    def _same_order(self, other: "CyclotomicInteger") -> None:
-        if self.order != other.order:
-            raise ValueError("mixed root-of-unity orders")
-
-    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._same_order(other)
-        return CyclotomicInteger(self.order, (self._poly() + other._poly()).coeffs)
-
-    def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._same_order(other)
-        return CyclotomicInteger(self.order, (self._poly() - other._poly()).coeffs)
-
-    def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.order, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicInteger(self.order, tuple(c * other for c in self.coeffs))
-        if isinstance(other, CyclotomicInteger):
-            self._same_order(other)
-            return CyclotomicInteger(self.order, (self._poly() * other._poly()).coeffs)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "CyclotomicInteger":
-        if e < 0:
-            raise ValueError("negative powers are not integral in general")
-        result = CyclotomicInteger.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_divisible_by(self, n: int) -> bool:
-        """Membership in the ideal n*Z[zeta_N]."""
-        return all(c % n == 0 for c in self.coeffs)
-
-    def multiplication_matrix(self) -> IntMatrix:
-        """Matrix of multiplication by self on the power basis.
-
-        Column j holds the coordinates of self * zeta^j, so the
-        characteristic polynomial of the matrix is the field
-        characteristic polynomial of the element.
-        """
-        phi = euler_phi(self.order)
-        cols = []
-        acc = self
-        zeta = CyclotomicInteger.root(self.order)
-        for _ in range(phi):
-            cols.append(acc.coeffs)
-            acc = acc * zeta
-        return IntMatrix([[cols[j][i] for j in range(phi)] for i in range(phi)])
 
 
 def power_membership(order: int, k: int, n: int) -> bool:
@@ -406,30 +314,3 @@ def cyclotomic_factor(p: IntPoly) -> Dict[int, int]:
             raise NonCyclotomicFactor(rem)
         out[hit] = out.get(hit, 0) + 1
     return out
-
-
-def eigenvalue_integrality(p: IntPoly, n: int) -> bool:
-    """Whether (zeta_N - 1)^2 / n is an algebraic integer for every
-    cyclotomic factor of p.
-
-    Decided through the characteristic polynomial of multiplication by
-    (zeta_N - 1)^2 on the power basis: the quotient by n satisfies the
-    variable-scaled polynomial, which is monic integral iff
-    n^(phi - i) divides the coefficient of x^i for every i.
-
-    Args:
-      p: monic polynomial with all irreducible factors cyclotomic.
-      n: scaling modulus, >= 1.
-
-    Raises:
-      NonCyclotomicFactor: propagated from the factorization.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for order in sorted(cyclotomic_factor(p)):
-        beta = (CyclotomicInteger.root(order) - CyclotomicInteger.one(order)) ** 2
-        cp = char_poly(beta.multiplication_matrix())
-        phi = euler_phi(order)
-        if any(cp.coeff(i) % n ** (phi - i) != 0 for i in range(phi + 1)):
-            return False
-    return True

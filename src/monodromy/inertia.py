@@ -22,7 +22,13 @@ from .cyclotomic import (
     cyclotomic_factor,
     semistability_degree,
 )
-from .matrices import IntMatrix, char_poly, is_unipotent, smith_normal_form
+from .matrices import (
+    IntMatrix,
+    char_poly,
+    is_unipotent,
+    smith_normal_form,
+    standard_symplectic_form,
+)
 from .polynomials import IntPoly
 from .torsion import (
     Polarization,
@@ -66,13 +72,26 @@ class DegreeObstruction(InertiaError):
     """The polarization degree shares a factor with the level."""
 
 
-def standard_symplectic_form(d: int) -> IntMatrix:
-    """The integer Gram matrix [[0, I], [-I, 0]] of size 2d."""
-    g = [[0] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        g[i][d + i] = 1
-        g[d + i][i] = -1
-    return IntMatrix(g)
+def is_tame(p: int, n: int) -> bool:
+    """Whether level n is prime to the residue characteristic p; with
+    p = 0 every level is."""
+    return p <= 0 or math.gcd(p, n) == 1
+
+
+def require_tame(p: int, n: int) -> None:
+    """Refuse a level below 1, or one that shares a factor with the
+    residue characteristic p.
+
+    Raises:
+      InertiaError: n < 1.
+      WildRamification: n not prime to p.
+    """
+    if n < 1:
+        raise InertiaError("level must be >= 1")
+    if not is_tame(p, n):
+        raise WildRamification(
+            f"level {n} shares a factor with the residue characteristic {p}"
+        )
 
 
 @dataclass(frozen=True)
@@ -203,7 +222,7 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
         raise NotPotentiallySemistable(
             f"(tau^{m} - I)^2 != 0: unipotent part has nilpotency index above 2"
         )
-    if residue_char > 0 and math.gcd(residue_char, m) != 1:
+    if not is_tame(residue_char, m):
         raise WildRamification(
             f"residue characteristic {residue_char} divides the semisimple order {m}"
         )
@@ -237,15 +256,6 @@ class Verdict:
     witness: Optional[Subgroup] = None
 
 
-def _require_tame_level(gen: InertiaGenerator, n: int, what: str = "level") -> None:
-    if n < 1:
-        raise InertiaError(f"{what} must be >= 1")
-    if gen.residue_char > 0 and math.gcd(gen.residue_char, n) != 1:
-        raise WildRamification(
-            f"{what} {n} shares a factor with the residue characteristic {gen.residue_char}"
-        )
-
-
 def _square_of_displacement(a: IntMatrix) -> IntMatrix:
     return (a - IntMatrix.identity(a.rows)) ** 2
 
@@ -258,7 +268,7 @@ def galois_criterion(gen: InertiaGenerator) -> bool:
 def square_zero_mod_n(gen: InertiaGenerator, n: int) -> bool:
     """(tau - I)^2 = 0 mod n.  For n >= 5 this is equivalent to
     semistability; for n <= 4 it can hold spuriously."""
-    _require_tame_level(gen, n)
+    require_tame(gen.residue_char, n)
     return gen.displacement_square.reduce_mod(n).is_zero()
 
 
@@ -287,13 +297,6 @@ def is_purely_additive(gen: InertiaGenerator) -> bool:
     return 0 not in gen.displacement_divisors
 
 
-def eigenvalue_order_check(gen: InertiaGenerator, m: int) -> bool:
-    """Whether every eigenvalue is an m-th root of unity."""
-    if m < 1:
-        raise InertiaError("m must be >= 1")
-    return all(m % order == 0 for order, _ in gen.factor_orders)
-
-
 def witness_exists(gen: InertiaGenerator, n: int,
                    module: Optional[TorsionModule] = None) -> bool:
     """Whether some subgroup S at level n has tau trivial on S and on
@@ -303,7 +306,7 @@ def witness_exists(gen: InertiaGenerator, n: int,
     complements shrink as subgroups grow, so S = FIX minimizes the
     complement and the test collapses to FIX-perp <= FIX.
     """
-    _require_tame_level(gen, n)
+    require_tame(gen.residue_char, n)
     fix = gen.fixed_at_level(n) if module is None else fixed_subgroup(gen.matrix, module)
     return orthogonal_complement(fix).is_subgroup_of(fix)
 
@@ -335,7 +338,7 @@ def find_witness_subgroup(gen: InertiaGenerator, n: int,
 
 def raynaud_criterion(gen: InertiaGenerator, m: int) -> Verdict:
     """Unramified m-torsion with m >= 3 forces semistability."""
-    _require_tame_level(gen, m)
+    require_tame(gen.residue_char, m)
     hypothesis = (gen.matrix - IntMatrix.identity(gen.rank)).reduce_mod(m).is_zero()
     citation = (
         "if tau fixes all points of the m-torsion for some m >= 3, "
@@ -362,7 +365,7 @@ def level_structure_criterion(gen: InertiaGenerator, n: int,
       DegreeObstruction: induced pairing degenerate (degree shares a
         factor with n); neither direction is then modeled.
     """
-    _require_tame_level(gen, n)
+    require_tame(gen.residue_char, n)
     witness = gen.fixed_maximal_isotropic(n, pol)
     exists = witness is not None
     semistable = galois_criterion(gen)
@@ -398,7 +401,7 @@ def exceptional_criterion(gen: InertiaGenerator, n: int,
     """
     if n < 2:
         raise InertiaError("level must be >= 2")
-    _require_tame_level(gen, n)
+    require_tame(gen.residue_char, n)
     degree = semistability_degree(2, n).degree
     if degree is None:
         raise AssertionError(f"semistability degree unbounded at level {n}")
@@ -447,6 +450,16 @@ def _fixes_all_two_torsion(gen: InertiaGenerator) -> bool:
     return gen.fixed_at_level(2).order == 2**gen.rank
 
 
+def _clause(name: str, allowed: bool, left, right, citation: str) -> Verdict:
+    """One equivalence clause: hypothesis left(), conclusion right(),
+    agree their equality; both sides None when the residue
+    characteristic rules the clause out."""
+    if not allowed:
+        return Verdict(name, None, None, True, citation)
+    lv, rv = left(), right()
+    return Verdict(name, lv, rv, lv == rv, citation)
+
+
 def elliptic_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
     """The six fixed-point criteria for dimension one.
 
@@ -458,62 +471,55 @@ def elliptic_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
     if gen.dimension != 1:
         raise HypothesisNotMet("these criteria apply to dimension 1 only")
     p = gen.residue_char
-    out = []
-
-    def clause(name, allowed, left, right, citation):
-        if not allowed:
-            out.append(Verdict(name, None, None, True, citation))
-        else:
-            lv, rv = left(), right()
-            out.append(Verdict(name, lv, rv, lv == rv, citation))
-
-    clause(
-        "elliptic-a", p != 2,
-        lambda: _fixed_has_element_of_order(gen, 2),
-        lambda: semistable_after_extension(gen, 4),
-        "for p != 2: a fixed point of order 2 exists iff (tau^4 - I)^2 = 0",
-    )
-    clause(
-        "elliptic-b", p != 3,
-        lambda: _fixed_has_element_of_order(gen, 3),
-        lambda: semistable_after_extension(gen, 3),
-        "for p != 3: a fixed point of order 3 exists iff (tau^3 - I)^2 = 0",
-    )
-    clause(
-        "elliptic-c", p != 2,
-        lambda: _fixed_has_element_of_order(gen, 4) or _fixes_all_two_torsion(gen),
-        lambda: semistable_after_extension(gen, 2),
-        "for p != 2: a fixed point of order 4 exists, or all points of "
-        "order 2 are fixed, iff (tau^2 - I)^2 = 0",
-    )
-    clause(
-        "elliptic-d",
-        p != 2 and gen.potentially_good and not is_good(gen),
-        lambda: (not _fixed_has_element_of_order(gen, 4))
-        and _fixes_all_two_torsion(gen),
-        lambda: gen.matrix**2 == IntMatrix.identity(gen.rank),
-        "for p != 2 and bad potentially good reduction: tau^2 = I iff "
-        "no fixed point of order 4 exists and all points of order 2 are fixed",
-    )
-    clause(
-        "elliptic-e", p not in (2, 3),
-        lambda: not (
-            _fixed_has_element_of_order(gen, 2) or _fixed_has_element_of_order(gen, 3)
+    return (
+        _clause(
+            "elliptic-a", p != 2,
+            lambda: _fixed_has_element_of_order(gen, 2),
+            lambda: semistable_after_extension(gen, 4),
+            "for p != 2: a fixed point of order 2 exists iff (tau^4 - I)^2 = 0",
         ),
-        lambda: not any(semistable_after_extension(gen, e) for e in range(1, 6)),
-        "for p not in {2, 3}: no fixed points of order 2 or 3 iff no "
-        "base change of degree below 6 is semistable",
+        _clause(
+            "elliptic-b", p != 3,
+            lambda: _fixed_has_element_of_order(gen, 3),
+            lambda: semistable_after_extension(gen, 3),
+            "for p != 3: a fixed point of order 3 exists iff (tau^3 - I)^2 = 0",
+        ),
+        _clause(
+            "elliptic-c", p != 2,
+            lambda: _fixed_has_element_of_order(gen, 4) or _fixes_all_two_torsion(gen),
+            lambda: semistable_after_extension(gen, 2),
+            "for p != 2: a fixed point of order 4 exists, or all points of "
+            "order 2 are fixed, iff (tau^2 - I)^2 = 0",
+        ),
+        _clause(
+            "elliptic-d",
+            p != 2 and gen.potentially_good and not is_good(gen),
+            lambda: (not _fixed_has_element_of_order(gen, 4))
+            and _fixes_all_two_torsion(gen),
+            lambda: gen.matrix**2 == IntMatrix.identity(gen.rank),
+            "for p != 2 and bad potentially good reduction: tau^2 = I iff "
+            "no fixed point of order 4 exists and all points of order 2 are fixed",
+        ),
+        _clause(
+            "elliptic-e", p not in (2, 3),
+            lambda: not (
+                _fixed_has_element_of_order(gen, 2)
+                or _fixed_has_element_of_order(gen, 3)
+            ),
+            lambda: not any(semistable_after_extension(gen, e) for e in range(1, 6)),
+            "for p not in {2, 3}: no fixed points of order 2 or 3 iff no "
+            "base change of degree below 6 is semistable",
+        ),
+        _clause(
+            "elliptic-f", p not in (2, 3),
+            lambda: not _fixed_has_element_of_order(gen, 4)
+            and not _fixed_has_element_of_order(gen, 3)
+            and not _fixes_all_two_torsion(gen),
+            lambda: not any(semistable_after_extension(gen, e) for e in range(1, 4)),
+            "for p not in {2, 3}: no fixed point of order 4 or 3 and not all "
+            "order-2 points fixed iff no base change of degree below 4 is semistable",
+        ),
     )
-    clause(
-        "elliptic-f", p not in (2, 3),
-        lambda: not _fixed_has_element_of_order(gen, 4)
-        and not _fixed_has_element_of_order(gen, 3)
-        and not _fixes_all_two_torsion(gen),
-        lambda: not any(semistable_after_extension(gen, e) for e in range(1, 4)),
-        "for p not in {2, 3}: no fixed point of order 4 or 3 and not all "
-        "order-2 points fixed iff no base change of degree below 4 is semistable",
-    )
-    return tuple(out)
 
 
 def purely_additive_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
@@ -527,34 +533,20 @@ def purely_additive_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
         raise HypothesisNotMet("tau must have finite order")
     if not is_purely_additive(gen):
         raise HypothesisNotMet("tau must have no eigenvalue 1")
-    out = []
     p = gen.residue_char
-    if p != 2:
-        left = witness_exists(gen, 4)
-        right = gen.matrix**2 == IntMatrix.identity(gen.rank)
-        out.append(Verdict(
-            "purely-additive-quadratic", left, right, left == right,
+    return (
+        _clause(
+            "purely-additive-quadratic", p != 2,
+            lambda: witness_exists(gen, 4),
+            lambda: gen.matrix**2 == IntMatrix.identity(gen.rank),
             "purely additive finite order, p != 2: a witness subgroup at "
             "level 4 exists iff tau^2 = I",
-        ))
-    else:
-        out.append(Verdict(
-            "purely-additive-quadratic", None, None, True,
-            "purely additive finite order, p != 2: a witness subgroup at "
-            "level 4 exists iff tau^2 = I",
-        ))
-    if p != 3:
-        left = witness_exists(gen, 3)
-        right = gen.matrix**3 == IntMatrix.identity(gen.rank)
-        out.append(Verdict(
-            "purely-additive-cubic", left, right, left == right,
+        ),
+        _clause(
+            "purely-additive-cubic", p != 3,
+            lambda: witness_exists(gen, 3),
+            lambda: gen.matrix**3 == IntMatrix.identity(gen.rank),
             "purely additive finite order, p != 3: a witness subgroup at "
             "level 3 exists iff tau^3 = I",
-        ))
-    else:
-        out.append(Verdict(
-            "purely-additive-cubic", None, None, True,
-            "purely additive finite order, p != 3: a witness subgroup at "
-            "level 3 exists iff tau^3 = I",
-        ))
-    return tuple(out)
+        ),
+    )

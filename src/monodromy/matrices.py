@@ -215,6 +215,15 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
+def standard_symplectic_form(d: int) -> IntMatrix:
+    """The integer Gram matrix [[0, I], [-I, 0]] of size 2d."""
+    g = [[0] * (2 * d) for _ in range(2 * d)]
+    for i in range(d):
+        g[i][d + i] = 1
+        g[d + i][i] = -1
+    return IntMatrix(g)
+
+
 class ModMatrix:
     """Immutable matrix over Z/nZ; entries are reduced into [0, n).
 

@@ -23,9 +23,9 @@ from .inertia import (
     InertiaError,
     InertiaGenerator,
     Verdict,
-    WildRamification,
     is_good,
     is_purely_additive,
+    require_tame,
 )
 from .matrices import IntMatrix, char_poly, smith_normal_form
 from .torsion import Polarization, Subgroup
@@ -81,7 +81,8 @@ def neron_invariants(gen: InertiaGenerator, p: Optional[int] = None) -> NeronInv
     zero_count = sum(1 for q in divisors if q == 0)
     # the fixed sublattice of a finite-order symplectic action is
     # symplectic, so the rational nullity of tau - I is even
-    assert zero_count % 2 == 0
+    if zero_count % 2:
+        raise AssertionError(f"rational nullity {zero_count} of tau - I is odd")
     a = zero_count // 2
     phi = tuple(q for q in divisors if q > 1)
     phi_prime = tuple(
@@ -96,14 +97,6 @@ def neron_invariants(gen: InertiaGenerator, p: Optional[int] = None) -> NeronInv
         phi=phi,
         phi_prime=phi_prime,
     )
-
-
-def _require_tame(inv: NeronInvariants, n: int) -> None:
-    if inv.residue_char > 0 and math.gcd(inv.residue_char, n) != 1:
-        raise WildRamification(
-            f"level {n} shares a factor with the residue characteristic "
-            f"{inv.residue_char}"
-        )
 
 
 @dataclass(frozen=True)
@@ -134,11 +127,15 @@ def neron_torsion(gen: InertiaGenerator, n: int,
     if n < 1:
         raise InertiaError("level must be >= 1")
     inv = neron_invariants(gen, p)
-    _require_tame(inv, n)
+    require_tame(inv.residue_char, n)
     fix = gen.fixed_at_level(n)
     phi_n = tuple(sorted(g for g in (math.gcd(q, n) for q in inv.phi) if g > 1))
     count = n ** (2 * inv.abelian_rank) * inv.phi_torsion_order(n)
-    assert fix.order == count, (fix.order, count)
+    if fix.order != count:
+        raise AssertionError(
+            f"kernel-count identity fails at level {n}: fixed order "
+            f"{fix.order} != {count}"
+        )
     b: Optional[int] = None
     if n > 1:
         exponent, power = 0, 1
@@ -184,7 +181,10 @@ def verify_neron2(gen: InertiaGenerator,
             "no fixed maximal isotropic subgroup of the two-torsion"
         )
     report = neron_torsion(gen, 2, p)
-    assert report.b_exponent is not None
+    if report.b_exponent is None:
+        raise AssertionError(
+            f"fixed two-torsion order {report.fixed_order} is not a power of 2"
+        )
     b = report.b_exponent
     a, u = inv.abelian_rank, inv.unipotent_rank
     out = []

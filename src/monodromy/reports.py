@@ -11,7 +11,6 @@ serialize to identical bytes.
 from __future__ import annotations
 
 import json
-import math
 from typing import Dict, List, Optional
 
 from .inertia import (
@@ -23,6 +22,7 @@ from .inertia import (
     elliptic_criteria,
     exceptional_criterion,
     galois_criterion,
+    is_tame,
     level_structure_criterion,
     minimal_semistable_degree,
     purely_additive_criteria,
@@ -52,13 +52,9 @@ def _verdict_dict(v: Verdict) -> Dict:
     }
 
 
-def _tame(gen: InertiaGenerator, n: int) -> bool:
-    return gen.residue_char == 0 or math.gcd(gen.residue_char, n) == 1
-
-
 def _default_criterion_level(gen: InertiaGenerator) -> int:
     n = 5
-    while not _tame(gen, n):
+    while not is_tame(gen.residue_char, n):
         n += 1
     return n
 
@@ -98,9 +94,10 @@ def build_report(scenario: Scenario, level: Optional[int] = None) -> Dict:
         report["phi"] = list(inv.phi)
         report["phi_prime"] = list(inv.phi_prime)
 
+    p = gen.residue_char
     torsion_levels = sorted({2, 3, 4} | ({level} if level else set()))
     for n in torsion_levels:
-        if n < 2 or not _tame(gen, n):
+        if n < 2 or not is_tame(p, n):
             continue
         if gen.potentially_good:
             snapshot = neron_torsion(gen, n)
@@ -116,9 +113,9 @@ def build_report(scenario: Scenario, level: Optional[int] = None) -> Dict:
     verdicts: List[Verdict] = []
 
     for m in (3, 4):
-        if _tame(gen, m):
+        if is_tame(p, m):
             verdicts.append(raynaud_criterion(gen, m))
-    if criterion_level >= 2 and _tame(gen, criterion_level):
+    if criterion_level >= 2 and is_tame(p, criterion_level):
         try:
             verdicts.append(level_structure_criterion(gen, criterion_level, pol))
         except _GATES:

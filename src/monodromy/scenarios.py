@@ -28,7 +28,7 @@ from .catalog import (
     ORDER_4_INVERSE,
     block_sum,
     derive_seed,
-    random_symplectic,
+    random_symplectic_conjugate,
 )
 from .cyclotomic import is_prime
 from .inertia import InertiaGenerator, classify
@@ -232,9 +232,14 @@ def _verified_blocks(family: str) -> Tuple[int, Tuple[IntMatrix, ...], Tuple[int
         )
     level, blocks, chars = _FAMILIES[family]
     for b in blocks:
-        assert _block_fixes_maximal_isotropic(b, level), (family, b)
+        if not _block_fixes_maximal_isotropic(b, level):
+            raise AssertionError(
+                f"{family} block {b.to_lists()} fixes no maximal isotropic "
+                f"subgroup at level {level}"
+            )
         if family == "neron4a":
-            assert (b - IntMatrix.identity(2)).reduce_mod(2).is_zero()
+            if not (b - IntMatrix.identity(2)).reduce_mod(2).is_zero():
+                raise AssertionError(f"neron4a block {b.to_lists()} moves the two-torsion")
     return level, blocks, chars
 
 
@@ -262,12 +267,19 @@ def generate_hypothesis_instances(
         p = chars[rng.randrange(len(chars))]
         module = standard_module(level, d)
         fix = fixed_subgroup(base, module)
-        assert orthogonal_complement(fix).is_subgroup_of(fix), (family, base)
+        if not orthogonal_complement(fix).is_subgroup_of(fix):
+            raise AssertionError(
+                f"{family} base {base.to_lists()} fixes no maximal isotropic "
+                f"subgroup at level {level}"
+            )
         witness_base = extend_to_maximal_isotropic(fix)
-        u, u_inv = random_symplectic(rng, d)
-        matrix = u @ base @ u_inv
+        matrix, u, u_inv = random_symplectic_conjugate(base, rng)
         witness = witness_base.apply(u.reduce_mod(level))
-        assert fixes_pointwise(matrix.reduce_mod(level), witness)
+        if not fixes_pointwise(matrix.reduce_mod(level), witness):
+            raise AssertionError(
+                f"{family} witness is not fixed after conjugation of "
+                f"{base.to_lists()}"
+            )
         out.append(HypothesisInstance(
             family, level, base, matrix, u, u_inv, p, witness,
         ))

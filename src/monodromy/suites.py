@@ -3,14 +3,12 @@
 Every suite decomposes into independent work units.  Unit i draws all
 of its randomness from derive_seed(seed, i), and the runner aggregates
 results in unit order, so a run is reproducible byte for byte from
-(suite, trials, seed, d_max) no matter how many worker threads execute
-it.  A unit returns how many properties it checked plus a list of
-human-readable failure strings; any failure string is a bug in the
-library, not in the suite.
+(suite, trials, seed, d_max).  A unit returns how many properties it
+checked plus a list of human-readable failure strings; any failure
+string is a bug in the library, not in the suite.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -19,7 +17,7 @@ from .catalog import (
     block_sum,
     catalog_matrices,
     derive_seed,
-    random_symplectic,
+    random_symplectic_conjugate,
 )
 from .cohomology import hk_vanishing, higher_cohomology_criterion
 from .cyclotomic import (
@@ -117,18 +115,12 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(derive_seed(seed, index))
 
 
-def _conjugate(rng: random.Random, base: IntMatrix) -> IntMatrix:
-    d = base.rows // 2
-    u, u_inv = random_symplectic(rng, d)
-    return u @ base @ u_inv
-
-
 def _random_catalog_matrix(
     rng: random.Random, d_max: int, finite_only: bool = False
 ) -> IntMatrix:
     d = rng.randint(1, d_max)
     pool = catalog_matrices(d, finite_only)
-    return _conjugate(rng, pool[rng.randrange(len(pool))])
+    return random_symplectic_conjugate(pool[rng.randrange(len(pool))], rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +215,7 @@ def _build_witness_equivalence(trials: int, seed: int, d_max: int) -> List[Unit]
         rng = _trial_rng(seed, index)
         d = rng.randint(1, d_max)
         pool = catalog_matrices(d)
-        tau = _conjugate(rng, pool[rng.randrange(len(pool))])
+        tau = random_symplectic_conjugate(pool[rng.randrange(len(pool))], rng)[0]
         return _check_witness(tau, modules[d], pair_tables[d], f"trial {index}")
 
     units.extend(lambda index=index: random_unit(index) for index in range(trials))
@@ -313,7 +305,11 @@ _COKERNEL_BLOCKS = FINITE_ORDER_PRIMITIVES[:2] + FINITE_ORDER_PRIMITIVES[4:6]
 def _build_cokernel_torsion(trials: int, seed: int, d_max: int) -> List[Unit]:
     for block in _COKERNEL_BLOCKS:
         square = (block @ block + IntMatrix.identity(2)).reduce_mod(2)
-        assert square.is_zero() or (block - IntMatrix.identity(2)).reduce_mod(2).is_zero()
+        if not (square.is_zero()
+                or (block - IntMatrix.identity(2)).reduce_mod(2).is_zero()):
+            raise AssertionError(
+                f"cokernel block {_fmt(block)} fails the mod-2 congruence"
+            )
 
     def unit(index: int) -> Tuple[int, List[str]]:
         rng = _trial_rng(seed, index)
@@ -321,7 +317,7 @@ def _build_cokernel_torsion(trials: int, seed: int, d_max: int) -> List[Unit]:
         blocks = [
             _COKERNEL_BLOCKS[rng.randrange(len(_COKERNEL_BLOCKS))] for _ in range(d)
         ]
-        tau = _conjugate(rng, block_sum(blocks))
+        tau = random_symplectic_conjugate(block_sum(blocks), rng)[0]
         tag = f"trial {index} tau={_fmt(tau)}"
         verdict = cokernel_torsion_check(tau, 2, 1, 2)
         failures = []
@@ -403,7 +399,7 @@ def _build_higher_cohomology(trials: int, seed: int, d_max: int) -> List[Unit]:
     def random_unit(index: int) -> Tuple[int, List[str]]:
         rng = _trial_rng(seed, index)
         pool = catalog_matrices(2)
-        tau = _conjugate(rng, pool[rng.randrange(len(pool))])
+        tau = random_symplectic_conjugate(pool[rng.randrange(len(pool))], rng)[0]
         return _check_cohomology(tau, f"trial {index}")
 
     units.extend(lambda index=index: random_unit(index) for index in range(trials))
@@ -587,7 +583,8 @@ def _build_unipotent_vanishing(trials: int, seed: int, d_max: int) -> List[Unit]
         semistable_pool = [
             tau for tau in catalog_matrices(d) if galois_criterion(classify(tau))
         ]
-        tau = _conjugate(rng, semistable_pool[rng.randrange(len(semistable_pool))])
+        base = semistable_pool[rng.randrange(len(semistable_pool))]
+        tau = random_symplectic_conjugate(base, rng)[0]
         return _check_unipotent_vanishing(tau, f"trial {index} tau={_fmt(tau)}")
 
     units.extend(lambda index=index: random_unit(index) for index in range(trials))
@@ -659,7 +656,7 @@ def _raynaud_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[str]]:
     d = rng.randint(1, d_max)
     m = rng.choice((3, 4, 5))
     blocks = [_shear_block(m, rng.randint(0, 3)) for _ in range(d)]
-    tau = _conjugate(rng, block_sum(blocks))
+    tau = random_symplectic_conjugate(block_sum(blocks), rng)[0]
     verdict = raynaud_criterion(classify(tau), m)
     failures = []
     tag = f"trial {index} m={m} tau={_fmt(tau)}"
@@ -698,7 +695,8 @@ def _component_bound_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[
     rng = _trial_rng(seed, index)
     d = rng.randint(1, d_max)
     pool = FINITE_ORDER_PRIMITIVES
-    tau = _conjugate(rng, block_sum([pool[rng.randrange(len(pool))] for _ in range(d)]))
+    base = block_sum([pool[rng.randrange(len(pool))] for _ in range(d)])
+    tau = random_symplectic_conjugate(base, rng)[0]
     p = rng.choice((0, 5, 7))
     inv = neron_invariants(classify(tau, p), p or None)
     failures = []
@@ -737,7 +735,7 @@ def _conjugation_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[str]
     d = rng.randint(1, d_max)
     pool = catalog_matrices(d)
     base = pool[rng.randrange(len(pool))]
-    u, u_inv = random_symplectic(rng, d)
+    conjugate = random_symplectic_conjugate(base, rng)[0]
     p = rng.choice((0, 3, 5, 7))
     failures = []
     tag = f"trial {index} p={p} base={_fmt(base)}"
@@ -747,13 +745,13 @@ def _conjugation_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[str]
         # a pair the classifier rejects (say a wild residue char) must be
         # rejected identically after conjugation
         try:
-            build_report(Scenario(dimension=d, residue_char=p, tau=u @ base @ u_inv))
+            build_report(Scenario(dimension=d, residue_char=p, tau=conjugate))
             failures.append(f"conjugate accepted but base rejected on {tag}")
         except InertiaError as conj_exc:
             if type(conj_exc) is not type(exc):
                 failures.append(f"rejection type changed under conjugation on {tag}")
         return 1, failures
-    second = build_report(Scenario(dimension=d, residue_char=p, tau=u @ base @ u_inv))
+    second = build_report(Scenario(dimension=d, residue_char=p, tau=conjugate))
     if canonical_json(first) != canonical_json(second):
         failures.append(f"report changed under conjugation on {tag}")
     return 1, failures
@@ -803,7 +801,6 @@ def run_suite(
     trials: int = 200,
     seed: int = 0,
     d_max: int = 2,
-    jobs: int = 1,
 ) -> SuiteReport:
     """Run one suite to completion and aggregate its units in order.
 
@@ -812,7 +809,6 @@ def run_suite(
       trials: randomized unit count; exhaustive suites ignore it.
       seed: master seed; unit i only ever sees derive_seed(seed, i).
       d_max: largest abelian-variety dimension drawn.
-      jobs: worker threads; any value yields identical output.
     """
     if suite not in _BUILDERS:
         known = ", ".join(SUITE_IDS)
@@ -821,14 +817,7 @@ def run_suite(
         raise SuiteError("trials must be >= 1")
     if d_max < 1:
         raise SuiteError("d_max must be >= 1")
-    if jobs < 1:
-        raise SuiteError("jobs must be >= 1")
-    units = _BUILDERS[suite](trials, seed, d_max)
-    if jobs == 1:
-        results = [_run_unit(u) for u in units]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_unit, units))
+    results = [_run_unit(u) for u in _BUILDERS[suite](trials, seed, d_max)]
     checked = sum(c for c, _ in results)
     failures: List[str] = []
     for _, unit_failures in results:

@@ -24,6 +24,7 @@ from .matrices import (
     howell_pivots,
     kernel_mod_n,
     smith_normal_form,
+    standard_symplectic_form,
 )
 from .polynomials import divisors
 
@@ -38,15 +39,6 @@ class DegeneratePairingError(TorsionError):
 
 class EnumerationCapError(TorsionError):
     pass
-
-
-def standard_symplectic_gram(n: int, d: int) -> ModMatrix:
-    """The block form [[0, I], [-I, 0]] of size 2d over Z/nZ."""
-    g = [[0] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        g[i][d + i] = 1
-        g[d + i][i] = -1
-    return ModMatrix(n, g)
 
 
 @lru_cache(maxsize=None)
@@ -71,8 +63,8 @@ class TorsionModule:
         if dimension < 1:
             raise TorsionError("dimension must be >= 1")
         if gram is None:
-            gram = standard_symplectic_gram(level, dimension)
-        elif isinstance(gram, IntMatrix):
+            gram = standard_symplectic_form(dimension)
+        if isinstance(gram, IntMatrix):
             gram = gram.reduce_mod(level)
         if gram.modulus != level:
             raise TorsionError("Gram modulus does not match the level")
@@ -262,14 +254,6 @@ def induced_pairing(module: TorsionModule, pol: Polarization) -> TorsionModule:
         raise TorsionError("induced form is not alternating at this level")
 
 
-def polarization_compatible(tau: IntMatrix, pol: Polarization, level: int) -> bool:
-    """Whether tau^T (G pol) tau == G pol mod level, G the standard form."""
-    d = pol.matrix.rows // 2
-    g = standard_symplectic_gram(level, d).lift()
-    induced = g @ pol.matrix
-    return ((tau.transpose() @ induced @ tau) - induced).reduce_mod(level).is_zero()
-
-
 @lru_cache(maxsize=None)
 def _complement_gens(gram: ModMatrix, gens: ModMatrix) -> ModMatrix:
     if gens.rows == 0:
@@ -324,12 +308,6 @@ def fixes_pointwise(action: Union[IntMatrix, ModMatrix], s: Subgroup) -> bool:
         return True
     moved = s.gens @ (a - ModMatrix.identity(s.module.rank, n)).transpose()
     return moved.is_zero()
-
-
-def dual_action(a: ModMatrix) -> ModMatrix:
-    """Action on the dual module under the trivial-on-roots-of-unity
-    convention: the inverse transpose."""
-    return a.transpose().inverse()
 
 
 def subgroup_count_estimate(level: int, rank: int) -> int:

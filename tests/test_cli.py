@@ -118,19 +118,25 @@ class TestVerify:
         assert "suite cokernel-torsion: passed" in out
         assert "0 violations" in out
 
-    def test_json_deterministic_across_jobs(self, capsys):
+    def test_json_deterministic(self, capsys):
         argv = [
             "verify", "--suite", "mod-n-equivalence", "--trials", "6",
             "--seed", "4", "--format", "json",
         ]
-        assert main(argv + ["--jobs", "1"]) == 0
+        assert main(argv) == 0
         first = capsys.readouterr().out
-        assert main(argv + ["--jobs", "3"]) == 0
+        assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
         parsed = json.loads(first)
         assert parsed["passed"] is True
         assert parsed["suite"] == "mod-n-equivalence"
+
+    def test_jobs_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "neron2", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2

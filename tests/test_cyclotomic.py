@@ -5,7 +5,7 @@ from monodromy import (
     NonCyclotomicFactor,
     compute_R,
     cyclotomic_factor,
-    eigenvalue_integrality,
+    cyclotomic_poly,
     euler_phi,
     exceptional_prime_powers,
     power_membership,
@@ -13,7 +13,6 @@ from monodromy import (
     semistability_degree,
 )
 from monodromy.cyclotomic import (
-    CyclotomicInteger,
     factorize,
     is_prime,
     prime_power_components,
@@ -82,18 +81,17 @@ class TestExceptionalPrimePowers:
 
 
 class TestCyclotomicInteger:
+    # elements of Z[zeta_N] are remainders modulo Phi_N in the power
+    # basis, the representation power_membership decides on
     def test_root_of_unity_order(self):
-        z = CyclotomicInteger.root(5)
-        power = z
-        for _ in range(4):
-            power = power * z
-        assert power == CyclotomicInteger.one(5)
+        zeta = IntPoly((0, 1))
+        assert zeta**5 % cyclotomic_poly(5) == IntPoly((1,))
 
     def test_arithmetic_reduces_mod_cyclotomic(self):
-        z = CyclotomicInteger.root(3)
+        zeta = IntPoly((0, 1))
         # 1 + z + z^2 = 0 in Z[zeta_3]
-        total = CyclotomicInteger.one(3) + z + z * z
-        assert total.is_zero()
+        total = IntPoly((1,)) + zeta + zeta * zeta
+        assert (total % cyclotomic_poly(3)).is_zero()
 
 
 class TestPowerMembership:
@@ -205,12 +203,3 @@ class TestCyclotomicFactor:
     def test_non_cyclotomic_rejected(self):
         with pytest.raises(NonCyclotomicFactor):
             cyclotomic_factor(IntPoly((-2, 0, 1)))  # x^2 - 2
-
-
-class TestEigenvalueIntegrality:
-    def test_roots_of_unity_detected(self):
-        assert eigenvalue_integrality(IntPoly((1, 1, 1)), 3)
-
-    def test_non_cyclotomic_input_propagates(self):
-        with pytest.raises(NonCyclotomicFactor):
-            eigenvalue_integrality(IntPoly((-2, 0, 1)), 2)

@@ -28,11 +28,13 @@ from monodromy import (
 from monodromy.catalog import block_sum
 from monodromy.cyclotomic import DegreeCertificate
 from monodromy.inertia import (
-    eigenvalue_order_check,
     is_good,
     is_purely_additive,
+    is_tame,
+    require_tame,
 )
 from monodromy.matrices import smith_normal_form
+from monodromy.neron import neron_torsion
 from monodromy.torsion import (
     extend_to_maximal_isotropic,
     fixed_subgroup,
@@ -177,13 +179,27 @@ class TestSemistability:
         assert is_purely_additive(classify(ROT4))
         assert not is_purely_additive(classify(SHEAR))
 
-    def test_eigenvalue_order(self):
-        g = classify(ROT6)
-        assert eigenvalue_order_check(g, 6)
-        assert eigenvalue_order_check(g, 12)
-        assert not eigenvalue_order_check(g, 4)
-        with pytest.raises(InertiaError):
-            eigenvalue_order_check(g, 0)
+
+class TestTameness:
+    def test_predicate(self):
+        assert is_tame(0, 12)
+        assert is_tame(5, 12)
+        assert not is_tame(3, 12)
+        assert not is_tame(2, 4)
+
+    def test_one_refusal_for_every_level_check(self):
+        g = classify(ROT4, 5)
+        expected = "level 10 shares a factor with the residue characteristic 5"
+        for check in (
+            lambda: square_zero_mod_n(g, 10),
+            lambda: raynaud_criterion(g, 10),
+            lambda: neron_torsion(g, 10),
+        ):
+            with pytest.raises(WildRamification) as exc:
+                check()
+            assert str(exc.value) == expected
+        with pytest.raises(InertiaError, match="level must be >= 1"):
+            require_tame(5, 0)
 
 
 class TestWitness:

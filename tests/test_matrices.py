@@ -18,6 +18,7 @@ from monodromy import (
     is_unipotent,
     kernel_mod_n,
     smith_normal_form,
+    standard_symplectic_form,
 )
 
 from _oracles import (
@@ -107,6 +108,23 @@ class TestIntMatrix:
                 assert (result.rows, result.cols, result.data) == (
                     rebuilt.rows, rebuilt.cols, rebuilt.data)
                 assert all(type(x) is int for row in result.data for x in row)
+
+
+class TestStandardSymplecticForm:
+    def test_blocks(self):
+        j = standard_symplectic_form(2)
+        assert j.to_lists() == [
+            [0, 0, 1, 0],
+            [0, 0, 0, 1],
+            [-1, 0, 0, 0],
+            [0, -1, 0, 0],
+        ]
+        assert j.transpose() == -j
+        assert j @ j == -IntMatrix.identity(4)
+
+    def test_empty_form_refused(self):
+        with pytest.raises(DimensionError):
+            standard_symplectic_form(0)
 
 
 class TestModMatrix:

@@ -59,8 +59,8 @@ class TestFootprint:
     ])
     def test_tables_and_oracle_stay_in_cyclotomic(self, argv):
         loaded = footprint(argv)
-        assert {"cyclotomic", "matrices", "polynomials"} <= loaded
-        assert not loaded & HEAVY
+        assert {"cyclotomic", "polynomials"} <= loaded
+        assert not loaded & (HEAVY | {"matrices"})
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_analyze_skips_suites_and_cohomology(self, scenario_file, fmt):
@@ -69,7 +69,10 @@ class TestFootprint:
         assert not loaded & {"suites", "cohomology", "concurrent"}
 
     def test_verify_loads_suites(self):
-        assert "suites" in footprint(["verify", "--suite", "neron2", "--trials", "1"])
+        loaded = footprint(["verify", "--suite", "neron2", "--trials", "1"])
+        assert "suites" in loaded
+        # suites run their units in this thread; no executor is imported
+        assert not {name for name in loaded if name.split(".")[0] == "concurrent"}
 
 
 class TestNamespace:
