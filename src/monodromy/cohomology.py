@@ -9,9 +9,8 @@ meaning over the integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Union
 
 from .cyclotomic import exceptional_prime_powers
 from .inertia import (
@@ -20,7 +19,6 @@ from .inertia import (
     InertiaGenerator,
     Verdict,
     galois_criterion,
-    is_good,
     is_purely_additive,
     require_tame,
     semistable_after_extension,

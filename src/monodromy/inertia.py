@@ -29,7 +29,6 @@ from .matrices import (
     smith_normal_form,
     standard_symplectic_form,
 )
-from .polynomials import IntPoly
 from .torsion import (
     Polarization,
     Subgroup,
@@ -105,11 +104,11 @@ class InertiaGenerator:
     identity assigned index 0, and None otherwise.
 
     Data that several criteria read off tau ((tau - I)^2, the Smith
-    divisors of tau - I, the fixed subgroup and the fixed maximal
-    isotropic subgroup per level and polarization) is computed on first
-    use and kept on the instance.  It is not a dataclass field, so
-    equality, hashing and repr are unchanged, and it goes away with the
-    instance.
+    divisors of tau - I, tau^e per exponent e, the fixed subgroup and
+    the fixed maximal isotropic subgroup per level and polarization) is
+    computed on first use and kept on the instance.  It is not a
+    dataclass field, so equality, hashing and repr are unchanged, and
+    it goes away with the instance.
     """
 
     matrix: IntMatrix
@@ -130,7 +129,9 @@ class InertiaGenerator:
         return self.semisimple_order if self.potentially_good else None
 
     def power(self, e: int) -> IntMatrix:
-        return self.matrix**e
+        if e not in self._powers:
+            self._powers[e] = self.matrix**e
+        return self._powers[e]
 
     def module(self, n: int) -> TorsionModule:
         return standard_module(n, self.dimension)
@@ -144,6 +145,10 @@ class InertiaGenerator:
     def displacement_divisors(self) -> Tuple[int, ...]:
         """Smith divisors of tau - I over Z, zeros last."""
         return smith_normal_form(self.matrix - IntMatrix.identity(self.rank)).divisors
+
+    @cached_property
+    def _powers(self) -> Dict[int, IntMatrix]:
+        return {}
 
     @cached_property
     def _fixed(self) -> Dict[Tuple[int, Optional[Polarization]], Subgroup]:
@@ -281,7 +286,7 @@ def semistable_after_extension(gen: InertiaGenerator, e: int) -> bool:
     """
     if e < 1:
         raise InertiaError("extension degree must be >= 1")
-    return _square_of_displacement(gen.matrix**e).is_zero()
+    return _square_of_displacement(gen.power(e)).is_zero()
 
 
 def minimal_semistable_degree(gen: InertiaGenerator) -> int:
@@ -496,7 +501,7 @@ def elliptic_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
             p != 2 and gen.potentially_good and not is_good(gen),
             lambda: (not _fixed_has_element_of_order(gen, 4))
             and _fixes_all_two_torsion(gen),
-            lambda: gen.matrix**2 == IntMatrix.identity(gen.rank),
+            lambda: gen.power(2) == IntMatrix.identity(gen.rank),
             "for p != 2 and bad potentially good reduction: tau^2 = I iff "
             "no fixed point of order 4 exists and all points of order 2 are fixed",
         ),
@@ -538,14 +543,14 @@ def purely_additive_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
         _clause(
             "purely-additive-quadratic", p != 2,
             lambda: witness_exists(gen, 4),
-            lambda: gen.matrix**2 == IntMatrix.identity(gen.rank),
+            lambda: gen.power(2) == IntMatrix.identity(gen.rank),
             "purely additive finite order, p != 2: a witness subgroup at "
             "level 4 exists iff tau^2 = I",
         ),
         _clause(
             "purely-additive-cubic", p != 3,
             lambda: witness_exists(gen, 3),
-            lambda: gen.matrix**3 == IntMatrix.identity(gen.rank),
+            lambda: gen.power(3) == IntMatrix.identity(gen.rank),
             "purely additive finite order, p != 3: a witness subgroup at "
             "level 3 exists iff tau^3 = I",
         ),

@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .polynomials import IntPoly
@@ -47,6 +48,11 @@ def _entry(x) -> int:
         raise MatrixError(
             f"matrix entries must be integers, not {type(x).__name__}"
         ) from None
+
+
+def _check_modulus(modulus: int) -> None:
+    if modulus < 1:
+        raise MatrixError("modulus must be >= 1")
 
 
 def _freeze(data: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -86,7 +92,9 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @staticmethod
+    @lru_cache(maxsize=None, typed=True)
     def identity(n: int) -> "IntMatrix":
+        # one shared instance per size; IntMatrix is immutable
         if n < 1:
             raise DimensionError("IntMatrix dimensions must be positive")
         return IntMatrix._trusted(
@@ -161,26 +169,26 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionError("inner dimensions do not match")
         bt = tuple(zip(*other.data))
-        return IntMatrix._trusted(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data
-        ))
+        mul = operator.mul
+        # list comprehensions inside tuple() skip the generator frames
+        return IntMatrix._trusted(tuple([
+            tuple([sum(map(mul, row, col)) for col in bt]) for row in self.data
+        ]))
 
     def __pow__(self, e: int) -> "IntMatrix":
         if not self.is_square:
             raise DimensionError("powers need a square matrix")
         if e < 0:
             return self.inverse_unimodular() ** (-e)
-        result = IntMatrix.identity(self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        if e == 0:
+            return IntMatrix.identity(self.rows)
+        return _power(self, e)
 
     def reduce_mod(self, n: int) -> "ModMatrix":
-        return ModMatrix(n, self.data)
+        _check_modulus(n)
+        return ModMatrix._trusted(
+            n, tuple(tuple(x % n for x in row) for row in self.data), self.cols
+        )
 
     def det(self) -> int:
         if not self.is_square:
@@ -215,8 +223,10 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
+@lru_cache(maxsize=None, typed=True)
 def standard_symplectic_form(d: int) -> IntMatrix:
-    """The integer Gram matrix [[0, I], [-I, 0]] of size 2d."""
+    """The integer Gram matrix [[0, I], [-I, 0]] of size 2d, one shared
+    immutable instance per d."""
     g = [[0] * (2 * d) for _ in range(2 * d)]
     for i in range(d):
         g[i][d + i] = 1
@@ -234,9 +244,8 @@ class ModMatrix:
     __slots__ = ("modulus", "rows", "cols", "data")
 
     def __init__(self, modulus: int, data: Iterable[Iterable[int]], cols: Optional[int] = None) -> None:
-        if modulus < 1:
-            raise MatrixError("modulus must be >= 1")
-        frozen = tuple(tuple(int(x) % modulus for x in row) for row in data)
+        _check_modulus(modulus)
+        frozen = tuple(tuple(_entry(x) % modulus for x in row) for row in data)
         if frozen:
             ncols = len(frozen[0])
             if any(len(r) != ncols for r in frozen):
@@ -254,12 +263,35 @@ class ModMatrix:
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "data", frozen)
 
+    @classmethod
+    def _trusted(cls, modulus: int, data: Tuple[Tuple[int, ...], ...], cols: int) -> "ModMatrix":
+        """Wrap a tuple of tuples of ints already reduced into [0, modulus)
+        as is, with cols >= 1 matching every row.
+
+        Only for results computed here from matrices that were already
+        validated; outside data goes through __init__.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "modulus", modulus)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("ModMatrix is immutable")
 
     @staticmethod
     def identity(n: int, modulus: int) -> "ModMatrix":
-        return ModMatrix(modulus, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        _check_modulus(modulus)
+        if n < 1:
+            raise DimensionError("zero-row ModMatrix needs an explicit positive column count")
+        one = 1 % modulus
+        return ModMatrix._trusted(
+            modulus,
+            tuple(tuple(one if i == j else 0 for j in range(n)) for i in range(n)),
+            n,
+        )
 
     @staticmethod
     def zeros(rows: int, cols: int, modulus: int) -> "ModMatrix":
@@ -280,10 +312,7 @@ class ModMatrix:
     def transpose(self) -> "ModMatrix":
         if self.rows == 0:
             raise DimensionError("cannot transpose a zero-row matrix")
-        return ModMatrix(
-            self.modulus,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        return ModMatrix._trusted(self.modulus, tuple(zip(*self.data)), self.rows)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -308,27 +337,31 @@ class ModMatrix:
 
     def __add__(self, other: "ModMatrix") -> "ModMatrix":
         self._same(other)
-        return ModMatrix(
-            self.modulus,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.cols,
-        )
+        n = self.modulus
+        return ModMatrix._trusted(n, tuple(
+            tuple((a + b) % n for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
+        ), self.cols)
 
     def __sub__(self, other: "ModMatrix") -> "ModMatrix":
         self._same(other)
-        return ModMatrix(
-            self.modulus,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.cols,
-        )
+        n = self.modulus
+        return ModMatrix._trusted(n, tuple(
+            tuple((a - b) % n for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
+        ), self.cols)
 
     def __neg__(self) -> "ModMatrix":
-        return ModMatrix(self.modulus, [[-a for a in row] for row in self.data], self.cols)
+        n = self.modulus
+        return ModMatrix._trusted(
+            n, tuple(tuple(-a % n for a in row) for row in self.data), self.cols
+        )
 
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
-        return ModMatrix(self.modulus, [[a * scalar for a in row] for row in self.data], self.cols)
+        n = self.modulus
+        return ModMatrix._trusted(
+            n, tuple(tuple(a * scalar % n for a in row) for row in self.data), self.cols
+        )
 
     __rmul__ = __mul__
 
@@ -340,26 +373,20 @@ class ModMatrix:
         if self.cols != other.rows:
             raise DimensionError("inner dimensions do not match")
         n = self.modulus
-        bt = [[other.data[i][j] for i in range(other.rows)] for j in range(other.cols)]
-        return ModMatrix(
-            n,
-            [[sum(a * b for a, b in zip(row, col)) % n for col in bt] for row in self.data],
-            other.cols,
-        )
+        bt = tuple(zip(*other.data))
+        mul = operator.mul
+        return ModMatrix._trusted(n, tuple([
+            tuple([sum(map(mul, row, col)) % n for col in bt]) for row in self.data
+        ]), other.cols)
 
     def __pow__(self, e: int) -> "ModMatrix":
         if not self.is_square:
             raise DimensionError("powers need a square matrix")
         if e < 0:
             return self.inverse() ** (-e)
-        result = ModMatrix.identity(self.rows, self.modulus)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        if e == 0:
+            return ModMatrix.identity(self.rows, self.modulus)
+        return _power(self, e)
 
     def det(self) -> int:
         if not self.is_square:
@@ -379,6 +406,19 @@ class ModMatrix:
 
     def __repr__(self) -> str:
         return f"ModMatrix({self.modulus}, {self.to_lists()!r})"
+
+
+def _power(base, e: int):
+    """base**e for e >= 1 by binary powering; the base is squared only
+    while higher bits of e remain, and no factor is the identity."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else result @ base
+        e >>= 1
+        if not e:
+            return result
+        base = base @ base
 
 
 def _minor(data: Sequence[Sequence[int]], i: int, j: int) -> Tuple[Tuple[int, ...], ...]:
@@ -514,7 +554,11 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
             u[t] = [-x for x in u[t]]
-    return SmithDecomposition(IntMatrix(u), IntMatrix(m), IntMatrix(v))
+    return SmithDecomposition(
+        IntMatrix._trusted(tuple(map(tuple, u))),
+        IntMatrix._trusted(tuple(map(tuple, m))),
+        IntMatrix._trusted(tuple(map(tuple, v))),
+    )
 
 
 def _hnf_rows(rows: List[List[int]], cols: int) -> List[List[int]]:
@@ -583,10 +627,10 @@ def howell_form(a: ModMatrix) -> ModMatrix:
     h = _hnf_rows(stacked, cols)
     out = []
     for row in h:
-        red = [x % n for x in row]
+        red = tuple(x % n for x in row)
         if any(red):
             out.append(red)
-    return ModMatrix(n, out, cols)
+    return ModMatrix._trusted(n, tuple(out), cols)
 
 
 def howell_pivots(h: ModMatrix) -> Tuple[Tuple[int, int], ...]:
@@ -655,8 +699,7 @@ def exterior_power(a, k: int):
     lift and reduced).  k = 0 gives the 1 x 1 identity.
     """
     if isinstance(a, ModMatrix):
-        lifted = exterior_power(a.lift(), k)
-        return ModMatrix(a.modulus, lifted.data)
+        return exterior_power(a.lift(), k).reduce_mod(a.modulus)
     if not isinstance(a, IntMatrix):
         raise TypeError("exterior_power expects IntMatrix or ModMatrix")
     if not a.is_square:

@@ -16,20 +16,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .catalog import (
-    IDENTITY_2,
-    MINUS_IDENTITY_2,
-    ORDER_3,
-    ORDER_3_INVERSE,
-    ORDER_4,
-    ORDER_4_INVERSE,
-    block_sum,
-    derive_seed,
-    random_symplectic_conjugate,
-)
 from .cyclotomic import is_prime
 from .inertia import InertiaGenerator, classify
 from .matrices import IntMatrix
@@ -198,25 +187,39 @@ class HypothesisInstance:
         )
 
 
-# blocks whose action at the family's level fixes a maximal isotropic
-# subgroup (checked in _verified_blocks); neron4a additionally needs
-# triviality on the two-torsion, which among finite-order primitives
-# holds for +-I only
-_FAMILIES: Dict[str, Tuple[int, Tuple[IntMatrix, ...], Tuple[int, ...]]] = {
-    "neron2": (
-        2,
-        (IDENTITY_2, MINUS_IDENTITY_2, ORDER_4, ORDER_4_INVERSE),
-        (0, 3, 5, 7),
-    ),
-    "neron3": (3, (IDENTITY_2, ORDER_3, ORDER_3_INVERSE), (0, 2, 5, 7)),
-    "neron4a": (4, (IDENTITY_2, MINUS_IDENTITY_2), (0, 3, 5, 7)),
-    "neron4b": (4, (IDENTITY_2, MINUS_IDENTITY_2), (0, 3, 5, 7)),
-    "quartic": (
-        2,
-        (IDENTITY_2, MINUS_IDENTITY_2, ORDER_4, ORDER_4_INVERSE),
-        (0, 3, 5, 7),
-    ),
-}
+@lru_cache(maxsize=None)
+def _families() -> Dict[str, Tuple[int, Tuple[IntMatrix, ...], Tuple[int, ...]]]:
+    """Blocks whose action at the family's level fixes a maximal
+    isotropic subgroup (checked in _verified_blocks); neron4a
+    additionally needs triviality on the two-torsion, which among
+    finite-order primitives holds for +-I only.
+
+    Built on first use, so loading scenarios does not load catalog.
+    """
+    from .catalog import (
+        IDENTITY_2,
+        MINUS_IDENTITY_2,
+        ORDER_3,
+        ORDER_3_INVERSE,
+        ORDER_4,
+        ORDER_4_INVERSE,
+    )
+
+    return {
+        "neron2": (
+            2,
+            (IDENTITY_2, MINUS_IDENTITY_2, ORDER_4, ORDER_4_INVERSE),
+            (0, 3, 5, 7),
+        ),
+        "neron3": (3, (IDENTITY_2, ORDER_3, ORDER_3_INVERSE), (0, 2, 5, 7)),
+        "neron4a": (4, (IDENTITY_2, MINUS_IDENTITY_2), (0, 3, 5, 7)),
+        "neron4b": (4, (IDENTITY_2, MINUS_IDENTITY_2), (0, 3, 5, 7)),
+        "quartic": (
+            2,
+            (IDENTITY_2, MINUS_IDENTITY_2, ORDER_4, ORDER_4_INVERSE),
+            (0, 3, 5, 7),
+        ),
+    }
 
 
 def _block_fixes_maximal_isotropic(block: IntMatrix, n: int) -> bool:
@@ -226,11 +229,12 @@ def _block_fixes_maximal_isotropic(block: IntMatrix, n: int) -> bool:
 
 
 def _verified_blocks(family: str) -> Tuple[int, Tuple[IntMatrix, ...], Tuple[int, ...]]:
-    if family not in _FAMILIES:
+    families = _families()
+    if family not in families:
         raise ScenarioError(
-            f"unknown instance family {family!r}; known: {sorted(_FAMILIES)}"
+            f"unknown instance family {family!r}; known: {sorted(families)}"
         )
-    level, blocks, chars = _FAMILIES[family]
+    level, blocks, chars = families[family]
     for b in blocks:
         if not _block_fixes_maximal_isotropic(b, level):
             raise AssertionError(
@@ -257,6 +261,8 @@ def generate_hypothesis_instances(
     Raises:
       ScenarioError: unknown instance family.
     """
+    from .catalog import block_sum, derive_seed, random_symplectic_conjugate
+
     level, blocks, chars = _verified_blocks(family)
     out: List[HypothesisInstance] = []
     for index in range(count):

@@ -152,9 +152,14 @@ class Subgroup:
         return joined == self.gens
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
+        # self <= other iff adjoining self's generators leaves the
+        # canonical form of other unchanged
         if self.module != other.module:
             raise TorsionError("subgroups of different modules")
-        return all(other.contains(row) for row in self.gens.data)
+        joined = ModMatrix._trusted(
+            other.gens.modulus, other.gens.data + self.gens.data, other.gens.cols
+        )
+        return howell_form(joined) == other.gens
 
     def elements(self) -> Iterator[Tuple[int, ...]]:
         """All elements, each exactly once.
@@ -354,7 +359,8 @@ def enumerate_subgroups(module: TorsionModule, cap: int = 10**6) -> Tuple[Subgro
                     h[i][j] = entries[pos]
                     pos += 1
             if _contains_scaled_basis(h, n, c):
-                found.append(Subgroup(module, howell_form(ModMatrix(n, h, c))))
+                reduced = tuple(tuple(x % n for x in row) for row in h)
+                found.append(Subgroup(module, howell_form(ModMatrix._trusted(n, reduced, c))))
     if len(set(f.gens for f in found)) != len(found):
         raise AssertionError("subgroup enumeration produced a duplicate")
     found.sort(key=lambda s: (s.gens.rows, s.gens.data))
@@ -362,19 +368,15 @@ def enumerate_subgroups(module: TorsionModule, cap: int = 10**6) -> Tuple[Subgro
 
 
 def _contains_scaled_basis(h: List[List[int]], n: int, c: int) -> bool:
-    # n*e_j must be an integer row combination of the triangular basis.
+    # n*e_j must be an integer row combination of the triangular basis;
+    # rows i < j get coefficient 0, so back-substitution starts at row j.
     for j in range(c):
-        v = [n if t == j else 0 for t in range(c)]
         coeffs = [0] * c
-        ok = True
-        for col in range(c):
-            acc = v[col] - sum(coeffs[i] * h[i][col] for i in range(col))
+        for col in range(j, c):
+            acc = (n if col == j else 0) - sum(coeffs[i] * h[i][col] for i in range(j, col))
             if acc % h[col][col]:
-                ok = False
-                break
+                return False
             coeffs[col] = acc // h[col][col]
-        if not ok:
-            return False
     return True
 
 

@@ -31,6 +31,29 @@ def leibniz_det(rows: Sequence[Sequence[int]]) -> int:
     return total
 
 
+def naive_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Row-by-column product of two integer matrices given as rows."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = 0
+            for t in range(len(b)):
+                total += a[i][t] * b[t][j]
+            row.append(total)
+        out.append(row)
+    return out
+
+
+def naive_power(a: Sequence[Sequence[int]], e: int) -> List[List[int]]:
+    """a^e for e >= 0: e successive products, starting from the identity."""
+    size = len(a)
+    out = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(e):
+        out = naive_product(out, a)
+    return out
+
+
 def leibniz_char_poly(a: IntMatrix) -> IntPoly:
     """det(xI - a) expanded with polynomial entries."""
     n = a.rows

@@ -42,6 +42,8 @@ from monodromy.torsion import (
     standard_module,
 )
 
+from _oracles import naive_power
+
 I2 = IntMatrix.identity(2)
 MINUS = IntMatrix([[-1, 0], [0, -1]])
 ROT3 = IntMatrix([[0, -1], [1, -1]])
@@ -124,8 +126,16 @@ class TestClassify:
     def test_helpers(self):
         g = classify(ROT4)
         assert g.power(4) == IntMatrix.identity(2)
+        assert g.power(4) is g.power(4)
         assert g.module(5).level == 5
         assert g.fixed_at_level(2).order == 2
+
+    @pytest.mark.parametrize("tau", [I2, MINUS, ROT3, ROT4, ROT6, SHEAR])
+    def test_power_matches_repeated_product(self, tau):
+        g = classify(tau)
+        for e in range(7):
+            assert g.power(e).to_lists() == naive_power(tau.data, e)
+            assert g.power(e) == g.matrix**e
 
 
 class TestSemistability:

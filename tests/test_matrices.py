@@ -26,6 +26,8 @@ from _oracles import (
     determinant_divisor_snf,
     leibniz_char_poly,
     leibniz_det,
+    naive_power,
+    naive_product,
     span_closure,
 )
 
@@ -34,6 +36,23 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def rnd_int_matrix(rng, rows, cols, lo=-9, hi=9):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def rnd_mod_matrix(rng, n, rows, cols):
+    return ModMatrix(n, [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def assert_validated(result, modulus=None):
+    """result equals a validated construction of its own entries."""
+    if modulus is None:
+        rebuilt = IntMatrix(result.to_lists())
+    else:
+        rebuilt = ModMatrix(modulus, result.to_lists(), result.cols)
+        assert result.modulus == modulus
+        assert all(0 <= x < modulus for row in result.data for x in row)
+    assert (result.rows, result.cols, result.data) == (rebuilt.rows, rebuilt.cols, rebuilt.data)
+    assert type(result.data) is tuple and all(type(row) is tuple for row in result.data)
+    assert all(type(x) is int for row in result.data for x in row)
 
 
 class TestIntMatrix:
@@ -104,10 +123,26 @@ class TestIntMatrix:
             a, b = rnd_int_matrix(rng, 2, 3), rnd_int_matrix(rng, 3, 2)
             for result in (a @ b, a.transpose(), -a, a - a, a + a, 3 * a,
                            IntMatrix.identity(3), IntMatrix.zeros(2, 3)):
-                rebuilt = IntMatrix(result.to_lists())
-                assert (result.rows, result.cols, result.data) == (
-                    rebuilt.rows, rebuilt.cols, rebuilt.data)
-                assert all(type(x) is int for row in result.data for x in row)
+                assert_validated(result)
+            assert (a @ b).to_lists() == naive_product(a.data, b.data)
+
+    def test_power_matches_repeated_product(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            size = rng.randint(1, 4)
+            a = rnd_int_matrix(rng, size, size, -3, 3)
+            for e in range(10):
+                power = a**e
+                assert_validated(power)
+                assert power.to_lists() == naive_power(a.data, e)
+
+    def test_identity_is_one_shared_instance(self):
+        assert IntMatrix.identity(3) is IntMatrix.identity(3)
+        assert IntMatrix.identity(3).data == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        with pytest.raises(AttributeError):
+            IntMatrix.identity(3).data = ((0,),)
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2.0)
 
 
 class TestStandardSymplecticForm:
@@ -121,6 +156,7 @@ class TestStandardSymplecticForm:
         ]
         assert j.transpose() == -j
         assert j @ j == -IntMatrix.identity(4)
+        assert standard_symplectic_form(2) is j
 
     def test_empty_form_refused(self):
         with pytest.raises(DimensionError):
@@ -153,6 +189,49 @@ class TestModMatrix:
         a = ModMatrix(6, [[3, 0], [0, 2]])
         assert (a @ a).data == ((3, 0), (0, 4))
 
+    @pytest.mark.parametrize("entry,kind", [
+        (1.7, "float"), (1.0, "float"), (True, "bool"), (False, "bool"), ("1", "str"),
+    ])
+    def test_non_integer_entries_rejected(self, entry, kind):
+        with pytest.raises(MatrixError, match=f"integers, not {kind}"):
+            ModMatrix(5, [[1, 0], [entry, 1]])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 12])
+    def test_results_match_validated_construction(self, n):
+        rng = random.Random(53 + n)
+        for _ in range(40):
+            r, c, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a, a2 = rnd_mod_matrix(rng, n, r, c), rnd_mod_matrix(rng, n, r, c)
+            b = rnd_mod_matrix(rng, n, c, k)
+            sq = rnd_mod_matrix(rng, n, c, c)
+            z = rnd_int_matrix(rng, r, c, -40, 40)
+            reduce = lambda rows: [[x % n for x in row] for row in rows]
+            cases = [
+                (a + a2, reduce([[x + y for x, y in zip(p, q)]
+                                 for p, q in zip(a.data, a2.data)])),
+                (a - a2, reduce([[x - y for x, y in zip(p, q)]
+                                 for p, q in zip(a.data, a2.data)])),
+                (-a, reduce([[-x for x in row] for row in a.data])),
+                (5 * a, reduce([[5 * x for x in row] for row in a.data])),
+                (a @ b, reduce(naive_product(a.data, b.data))),
+                (sq**3, reduce(naive_power(sq.data, 3))),
+                (a.transpose(), [[a.data[i][j] for i in range(r)] for j in range(c)]),
+                (ModMatrix.identity(c, n), reduce(naive_power(sq.data, 0))),
+                (z.reduce_mod(n), reduce(z.data)),
+            ]
+            for result, expected in cases:
+                assert_validated(result, n)
+                assert result.to_lists() == expected
+            h = howell_form(a)
+            assert_validated(h, n)
+            if r * c <= 6 and n <= 6:
+                assert span_closure(h.data, c, n) == span_closure(a.data, c, n)
+            empty = ModMatrix(n, [], c)
+            for result in (empty + empty, empty - empty, -empty, empty @ b,
+                           howell_form(empty)):
+                assert_validated(result, n)
+                assert result.rows == 0
+
 
 class TestSmithNormalForm:
     def test_reconstruction_and_divisor_chain(self):
@@ -162,6 +241,9 @@ class TestSmithNormalForm:
             s = smith_normal_form(a)
             assert s.u @ a @ s.v == s.d
             assert abs(s.u.det()) == 1 and abs(s.v.det()) == 1
+            for part in (s.u, s.d, s.v):
+                assert_validated(part)
+            assert naive_product(naive_product(s.u.data, a.data), s.v.data) == s.d.to_lists()
             nz = s.nonzero_divisors
             assert all(x > 0 for x in nz)
             assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))

@@ -66,7 +66,8 @@ class TestFootprint:
     def test_analyze_skips_suites_and_cohomology(self, scenario_file, fmt):
         loaded = footprint(["analyze", scenario_file, "--format", fmt])
         assert {"reports", "neron", "scenarios"} <= loaded
-        assert not loaded & {"suites", "cohomology", "concurrent"}
+        # catalog only serves instance generation, which analyze never runs
+        assert not loaded & {"suites", "cohomology", "catalog", "concurrent"}
 
     def test_verify_loads_suites(self):
         loaded = footprint(["verify", "--suite", "neron2", "--trials", "1"])

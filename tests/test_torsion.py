@@ -90,6 +90,32 @@ class TestSubgroup:
         assert t.is_subgroup_of(f)
         assert not f.is_subgroup_of(t)
 
+    def test_is_subgroup_of_matches_set_inclusion(self):
+        rng = random.Random(61)
+        outcomes = set()
+        for n, d in ((2, 1), (3, 1), (4, 1), (6, 1), (2, 2), (3, 2)):
+            m = standard_module(n, d)
+            rank = 2 * d
+            for _ in range(40):
+                gens = [
+                    [[rng.randrange(n) for _ in range(rank)] for _ in range(rng.randint(0, 2))]
+                    for _ in range(2)
+                ]
+                if rng.random() < 0.3:
+                    # a subgroup of the other one, so inclusions occur often
+                    gens[0] = [[sum(rng.randrange(n) * g[j] for g in gens[1]) % n
+                                for j in range(rank)]] if gens[1] else []
+                a, b = (m.subgroup(g) for g in gens)
+                a_set, b_set = (span_closure(g, rank, n) for g in gens)
+                expected = a_set <= b_set
+                assert a.is_subgroup_of(b) == expected
+                assert b.is_subgroup_of(a) == (b_set <= a_set)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+        with pytest.raises(TorsionError):
+            standard_module(2, 1).full_subgroup().is_subgroup_of(
+                standard_module(3, 1).full_subgroup())
+
     def test_contains(self):
         m = standard_module(6, 1)
         s = m.subgroup([[2, 0]])
