@@ -13,6 +13,7 @@ property suites.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple
@@ -24,7 +25,10 @@ from .cyclotomic import (
 )
 from .matrices import (
     IntMatrix,
+    ModMatrix,
+    SmithDecomposition,
     char_poly,
+    howell_form,
     is_unipotent,
     smith_normal_form,
     standard_symplectic_form,
@@ -104,8 +108,8 @@ class InertiaGenerator:
     identity assigned index 0, and None otherwise.
 
     Data that several criteria read off tau ((tau - I)^2, the Smith
-    divisors of tau - I, tau^e per exponent e, the fixed subgroup and
-    the fixed maximal isotropic subgroup per level and polarization) is
+    form of tau - I, tau^e per exponent e, the fixed subgroup and the
+    fixed maximal isotropic subgroup per level and polarization) is
     computed on first use and kept on the instance.  It is not a
     dataclass field, so equality, hashing and repr are unchanged, and
     it goes away with the instance.
@@ -142,9 +146,14 @@ class InertiaGenerator:
         return _square_of_displacement(self.matrix)
 
     @cached_property
+    def _displacement_snf(self) -> SmithDecomposition:
+        """U (tau - I) V = D over Z, the one Smith form every level reads."""
+        return smith_normal_form(self.matrix - IntMatrix.identity(self.rank))
+
+    @cached_property
     def displacement_divisors(self) -> Tuple[int, ...]:
         """Smith divisors of tau - I over Z, zeros last."""
-        return smith_normal_form(self.matrix - IntMatrix.identity(self.rank)).divisors
+        return self._displacement_snf.divisors
 
     @cached_property
     def _powers(self) -> Dict[int, IntMatrix]:
@@ -161,14 +170,41 @@ class InertiaGenerator:
     def fixed_at_level(self, n: int, pol: Optional[Polarization] = None) -> Subgroup:
         """Points of the level-n module that tau fixes, in the module
         carrying the pairing induced by pol (the standard one when pol
-        is None)."""
+        is None).
+
+        Read off the one Smith form U (tau - I) V = D: with x = V y,
+        (tau - I) x = 0 mod n iff d_i y_i = 0 mod n for every i, so the
+        kernel is spanned by column i of V times n / gcd(d_i, n) (times
+        1 when d_i = 0).  Its Howell form is canonical, so the subgroup
+        equals the one a fresh kernel computation mod n gives.  Every
+        generator is checked against tau in every interpreter mode.
+        """
         key = (n, pol)
         if key not in self._fixed:
             module = self.module(n)
-            if pol is not None:
+            if pol is None:
+                gens = self._fixed_gens(n)
+            else:
                 module = induced_pairing(module, pol)
-            self._fixed[key] = fixed_subgroup(self.matrix, module)
+                gens = self.fixed_at_level(n).gens
+            self._fixed[key] = Subgroup(module, gens)
         return self._fixed[key]
+
+    def _fixed_gens(self, n: int) -> ModMatrix:
+        snf = self._displacement_snf
+        v = snf.v.data
+        gens = []
+        for i, d in enumerate(snf.divisors):
+            scale = n // math.gcd(d, n)
+            if scale % n:
+                gens.append(tuple(row[i] * scale % n for row in v))
+        mul = operator.mul
+        for g in gens:
+            if any((sum(map(mul, row, g)) - x) % n for row, x in zip(self.matrix.data, g)):
+                raise AssertionError(
+                    f"Smith generator {list(g)} is not fixed by tau mod {n}"
+                )
+        return howell_form(ModMatrix._trusted(n, tuple(gens), self.rank))
 
     def fixed_maximal_isotropic(self, n: int,
                                 pol: Optional[Polarization] = None) -> Optional[Subgroup]:
@@ -231,16 +267,27 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
         raise WildRamification(
             f"residue characteristic {residue_char} divides the semisimple order {m}"
         )
-    unipotent, index = is_unipotent(matrix)
-    return InertiaGenerator(
+    # Only Phi_1 divides the characteristic polynomial exactly when
+    # m = 1, and then Cayley-Hamilton makes tau - I nilpotent; for
+    # m > 1 some eigenvalue of tau - I is nonzero.
+    index = None
+    if m == 1:
+        unipotent, index = is_unipotent(matrix)
+        if not unipotent:
+            raise AssertionError(
+                "characteristic polynomial (x - 1)^2d but tau - I is not nilpotent"
+            )
+    gen = InertiaGenerator(
         matrix=matrix,
         residue_char=residue_char,
         dimension=d,
         factor_orders=orders,
         semisimple_order=m,
-        unipotent_index=index if unipotent else None,
+        unipotent_index=index,
         potentially_good=(power_m == ident),
     )
+    gen._powers[m] = power_m
+    return gen
 
 
 @dataclass(frozen=True)

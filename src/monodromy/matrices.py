@@ -37,22 +37,24 @@ class SingularMatrixError(MatrixError):
     pass
 
 
-def _entry(x) -> int:
+def _entry(x, what: str = "matrix entries must be integers") -> int:
     # bool is an int subclass and a float would be truncated by int(),
     # so both are refused rather than converted.
     if isinstance(x, bool):
-        raise MatrixError("matrix entries must be integers, not bool")
+        raise MatrixError(f"{what}, not bool")
     try:
         return operator.index(x)
     except TypeError:
-        raise MatrixError(
-            f"matrix entries must be integers, not {type(x).__name__}"
-        ) from None
+        raise MatrixError(f"{what}, not {type(x).__name__}") from None
 
 
-def _check_modulus(modulus: int) -> None:
-    if modulus < 1:
+def _check_modulus(modulus) -> int:
+    """The modulus as an int >= 1; bool, float and other non-integers
+    raise MatrixError."""
+    n = _entry(modulus, "modulus must be an integer")
+    if n < 1:
         raise MatrixError("modulus must be >= 1")
+    return n
 
 
 def _freeze(data: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -185,7 +187,7 @@ class IntMatrix:
         return _power(self, e)
 
     def reduce_mod(self, n: int) -> "ModMatrix":
-        _check_modulus(n)
+        n = _check_modulus(n)
         return ModMatrix._trusted(
             n, tuple(tuple(x % n for x in row) for row in self.data), self.cols
         )
@@ -244,7 +246,7 @@ class ModMatrix:
     __slots__ = ("modulus", "rows", "cols", "data")
 
     def __init__(self, modulus: int, data: Iterable[Iterable[int]], cols: Optional[int] = None) -> None:
-        _check_modulus(modulus)
+        modulus = _check_modulus(modulus)
         frozen = tuple(tuple(_entry(x) % modulus for x in row) for row in data)
         if frozen:
             ncols = len(frozen[0])
@@ -283,7 +285,7 @@ class ModMatrix:
 
     @staticmethod
     def identity(n: int, modulus: int) -> "ModMatrix":
-        _check_modulus(modulus)
+        modulus = _check_modulus(modulus)
         if n < 1:
             raise DimensionError("zero-row ModMatrix needs an explicit positive column count")
         one = 1 % modulus

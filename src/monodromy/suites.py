@@ -53,9 +53,9 @@ from .neron import (
 from .reports import build_report, canonical_json
 from .scenarios import Scenario, generate_hypothesis_instances
 from .torsion import (
+    _fixed_by,
     enumerate_subgroups,
     fixed_subgroup,
-    fixes_pointwise,
     orthogonal_complement,
     standard_module,
 )
@@ -170,9 +170,10 @@ def _check_witness(tau: IntMatrix, module, pairs, tag: str) -> Tuple[int, List[s
     gen = classify(tau)
     integral = galois_criterion(gen)
     fast = witness_exists(gen, 5, module)
-    tau_mod = tau.reduce_mod(5)
+    # tau - I mod 5 once per unit; the scan still tests every pair
+    displacement = (tau - IntMatrix.identity(tau.rows)).reduce_mod(5)
     brute = any(
-        fixes_pointwise(tau_mod, s) and fixes_pointwise(tau_mod, complement)
+        _fixed_by(displacement, s) and _fixed_by(displacement, complement)
         for s, complement in pairs
     )
     failures = []
@@ -343,10 +344,11 @@ def _build_torsion_identity(trials: int, seed: int, d_max: int) -> List[Unit]:
         failures = []
         for n in _IDENTITY_LEVELS:
             try:
-                # neron_torsion asserts the identity internally; rerun
-                # it here against the enumerated subgroup order too
-                report = neron_torsion(gen, n)
-                if report.fixed_order != gen.fixed_at_level(n).order:
+                # neron_torsion asserts the identity internally; the
+                # fixed subgroup read off the Smith form of tau - I is
+                # also checked against a kernel computed mod n
+                neron_torsion(gen, n)
+                if gen.fixed_at_level(n) != fixed_subgroup(tau, gen.module(n)):
                     failures.append(f"fixed order drifted at n={n} on {tag}")
             except AssertionError:
                 failures.append(f"kernel-count identity failed at n={n} on {tag}")

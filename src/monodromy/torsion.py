@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .matrices import (
     IntMatrix,
+    MatrixError,
     ModMatrix,
+    _entry,
     howell_form,
     howell_pivots,
     kernel_mod_n,
@@ -41,6 +44,18 @@ class EnumerationCapError(TorsionError):
     pass
 
 
+def _size(value, name: str) -> int:
+    # a float or bool level would build a float or 0/1 Gram matrix;
+    # non-integers are refused by the same rule as matrix entries
+    try:
+        value = _entry(value, f"{name} must be an integer")
+    except MatrixError as exc:
+        raise TorsionError(str(exc)) from None
+    if value < 1:
+        raise TorsionError(f"{name} must be >= 1")
+    return value
+
+
 @lru_cache(maxsize=None)
 def standard_module(n: int, d: int) -> "TorsionModule":
     """The principally polarized module at level n, cached."""
@@ -58,10 +73,8 @@ class TorsionModule:
         dimension: int,
         gram: Optional[Union[ModMatrix, IntMatrix]] = None,
     ) -> None:
-        if level < 1:
-            raise TorsionError("level must be >= 1")
-        if dimension < 1:
-            raise TorsionError("dimension must be >= 1")
+        level = _size(level, "level")
+        dimension = _size(dimension, "dimension")
         if gram is None:
             gram = standard_symplectic_form(dimension)
         if isinstance(gram, IntMatrix):
@@ -140,42 +153,52 @@ class Subgroup:
         return out
 
     def contains(self, x) -> bool:
+        """Whether x lies in the subgroup, by reduction against the
+        Howell rows (see _in_span)."""
         vec = tuple(int(v) % self.module.level for v in x)
         if len(vec) != self.module.rank:
             raise TorsionError("vector length does not match the module rank")
-        if all(v == 0 for v in vec):
-            return True
-        joined = howell_form(
-            ModMatrix(self.module.level, list(self.gens.data) + [list(vec)],
-                      self.module.rank)
-        )
-        return joined == self.gens
+        return _in_span(self.gens, howell_pivots(self.gens), vec)
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
-        # self <= other iff adjoining self's generators leaves the
-        # canonical form of other unchanged
+        """Whether self <= other: each of self's Howell rows reduces to
+        0 against other's Howell rows (see _in_span), so no Howell form
+        is recomputed."""
         if self.module != other.module:
             raise TorsionError("subgroups of different modules")
-        joined = ModMatrix._trusted(
-            other.gens.modulus, other.gens.data + self.gens.data, other.gens.cols
-        )
-        return howell_form(joined) == other.gens
+        pivots = howell_pivots(other.gens)
+        return all(_in_span(other.gens, pivots, row) for row in self.gens.data)
 
     def elements(self) -> Iterator[Tuple[int, ...]]:
-        """All elements, each exactly once.
+        """All elements, each exactly once, in increasing lexicographic
+        order, generated lazily.
 
-        Coefficient c_i of Howell row i runs over [0, n/pivot_i); the
-        saturation property of the form makes this a bijection onto
-        the subgroup.
+        Each element is sum c_k row_k over the Howell rows with
+        0 <= c_k < n / p_k; the saturation property of the form makes
+        this a bijection onto the subgroup.  Rows pivot at increasing
+        columns, so once c_1 .. c_(k-1) are chosen every entry left of
+        row k's pivot column j is fixed, and the entry at j runs over
+        the n / p_k values congruent to the partial sum mod p_k.  A
+        depth-first walk taking those values in increasing order
+        therefore yields the elements sorted.
         """
         n = self.module.level
         rows = self.gens.data
-        ranges = [range(n // p) for _, p in howell_pivots(self.gens)]
-        for coeffs in itertools.product(*ranges):
-            yield tuple(
-                sum(c * row[j] for c, row in zip(coeffs, rows)) % n
-                for j in range(self.module.rank)
-            )
+        pivots = howell_pivots(self.gens)
+
+        def walk(k: int, acc: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+            if k == len(rows):
+                yield acc
+                return
+            row = rows[k]
+            j, p = pivots[k]
+            c = -(acc[j] // p)
+            cur = tuple((a + c * b) % n for a, b in zip(acc, row))
+            for _ in range(n // p):
+                yield from walk(k + 1, cur)
+                cur = tuple((a + b) % n for a, b in zip(cur, row))
+
+        return walk(0, (0,) * self.module.rank)
 
     @property
     def structure(self) -> Tuple[int, ...]:
@@ -193,6 +216,31 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, gens={self.gens.to_lists()!r} mod {self.module.level})"
+
+
+def _in_span(h: ModMatrix, pivots: Sequence[Tuple[int, int]],
+             x: Sequence[int]) -> bool:
+    """Whether x (entries in [0, n)) lies in the row span of the
+    Howell-form matrix h, whose (column, pivot) pairs are pivots.
+
+    Columns are walked in order.  By the Howell property the elements
+    of the span that vanish left of column j are combinations of the
+    rows pivoting at j or later.  So at a pivot column the entry must
+    be a multiple of the pivot, and that multiple of the row clears it;
+    at any other column the entry must already be 0.
+    """
+    n = h.modulus
+    start = 0
+    for row, (j, p) in zip(h.data, pivots):
+        if any(x[start:j]):
+            return False
+        q, r = divmod(x[j], p)
+        if r:
+            return False
+        if q:
+            x = [(a - q * b) % n for a, b in zip(x, row)]
+        start = j + 1
+    return not any(x[start:])
 
 
 @lru_cache(maxsize=None)
@@ -311,8 +359,18 @@ def fixes_pointwise(action: Union[IntMatrix, ModMatrix], s: Subgroup) -> bool:
         raise TorsionError("action modulus does not match the level")
     if s.gens.rows == 0:
         return True
-    moved = s.gens @ (a - ModMatrix.identity(s.module.rank, n)).transpose()
-    return moved.is_zero()
+    return _fixed_by(a - ModMatrix.identity(s.module.rank, n), s)
+
+
+def _fixed_by(displacement: ModMatrix, s: Subgroup) -> bool:
+    """Whether displacement = a - I (mod the level) kills every
+    generator of s, i.e. a fixes s pointwise.  A caller testing many
+    subgroups against one action builds the displacement once."""
+    n = displacement.modulus
+    mul = operator.mul
+    return all(
+        sum(map(mul, r, g)) % n == 0 for g in s.gens.data for r in displacement.data
+    )
 
 
 def subgroup_count_estimate(level: int, rank: int) -> int:
@@ -385,10 +443,17 @@ def extend_to_maximal_isotropic(s: Subgroup) -> Subgroup:
 
     Requires a nondegenerate pairing and s-perp <= s.  Greedy: starting
     from s-perp, repeatedly adjoin the lexicographically first element
-    of s orthogonal to everything collected so far.  Such an element
+    of s that lies outside H and is orthogonal to H.  Such an element
     exists whenever H < H-perp, because H-perp is then contained in s
     (the complement of H-intersect-s is H + s-perp = H), so the loop
     ends exactly at H = H-perp.
+
+    One lazy pass over s in lexicographic order (Subgroup.elements) finds
+    the same elements as restarting the scan after every adjunction:
+    H only grows, so a candidate passed over, being in H or pairing
+    nontrivially with H, stays unusable.  Membership is decided by
+    reduction against H's Howell rows, and orthogonality against those
+    rows alone, since the pairing is bilinear.
     """
     if not s.module.is_nondegenerate():
         raise DegeneratePairingError("isotropic extension needs a nondegenerate pairing")
@@ -396,22 +461,24 @@ def extend_to_maximal_isotropic(s: Subgroup) -> Subgroup:
     if not perp.is_subgroup_of(s):
         raise TorsionError("orthogonal complement is not contained in the subgroup")
     module = s.module
-    target = module.level ** module.dimension
-    current = set(perp.elements())
-    gens = [list(r) for r in perp.gens.data]
-    pool = sorted(set(s.elements()) - current)
-    while len(current) < target:
-        for x in pool:
-            if x in current:
-                continue
-            if all(module.pair(x, h) == 0 for h in current):
-                gens.append(list(x))
-                sub = Subgroup(module, howell_form(ModMatrix(module.level, gens, module.rank)))
-                current = set(sub.elements())
+    n = module.level
+    target = n ** module.dimension
+    mul = operator.mul
+    candidates = s.elements()
+    h = perp
+    while h.order < target:
+        pivots = howell_pivots(h.gens)
+        # row i of gens @ G pairs H's row i with any x by a dot product
+        dual = (h.gens @ module.gram).data
+        for x in candidates:
+            if all(sum(map(mul, w, x)) % n == 0 for w in dual) and not _in_span(
+                h.gens, pivots, x
+            ):
+                joined = ModMatrix._trusted(n, h.gens.data + (x,), module.rank)
+                h = Subgroup(module, howell_form(joined))
                 break
         else:
             raise AssertionError("greedy isotropic extension ran out of candidates")
-    out = Subgroup(module, howell_form(ModMatrix(module.level, gens, module.rank)))
-    if out != orthogonal_complement(out):
+    if h != orthogonal_complement(h):
         raise AssertionError("isotropic extension is not self-orthogonal")
-    return out
+    return h

@@ -138,6 +138,34 @@ def brute_fixed_vectors(m: ModMatrix) -> FrozenSet[Tuple[int, ...]]:
     )
 
 
+def split_fixed_vectors(m: ModMatrix) -> FrozenSet[Tuple[int, ...]]:
+    """Every v with m v = v, by an exhaustive scan of both halves of v.
+
+    With v = (a, b), (m - I) v = A a + B b, so v is fixed exactly when
+    A a = -B b.  Tabulating A a over every a and looking up -B b for
+    every b visits n^(size/2) vectors per half instead of n^size.
+    """
+    n = m.modulus
+    size = m.cols
+    half = size // 2
+    disp = [[(m.data[i][j] - (i == j)) % n for j in range(size)] for i in range(m.rows)]
+    by_image: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    for a in all_vectors(n, half):
+        image = tuple(
+            sum(disp[i][j] * a[j] for j in range(half)) % n for i in range(m.rows)
+        )
+        by_image.setdefault(image, []).append(a)
+    out = set()
+    for b in all_vectors(n, size - half):
+        image = tuple(
+            -sum(disp[i][half + j] * b[j] for j in range(size - half)) % n
+            for i in range(m.rows)
+        )
+        for a in by_image.get(image, ()):
+            out.add(a + b)
+    return frozenset(out)
+
+
 def span_closure(
     gens: Sequence[Sequence[int]], size: int, n: int
 ) -> FrozenSet[Tuple[int, ...]]:
@@ -290,3 +318,33 @@ def naive_semistability_degree(k: int, n: int, bound: int):
         if all(c % n == 0 for c in rem):
             admissible.append(order)
     return tuple(admissible), math.lcm(*admissible)
+
+
+def naive_extend_to_maximal_isotropic(s):
+    """The greedy isotropic extension over element sets.
+
+    H is held as the set of all its elements, rebuilt after every
+    adjoined generator, and the scan of sorted(s) restarts each time;
+    a candidate is tested against every element of H.
+    """
+    from monodromy.matrices import howell_form
+    from monodromy.torsion import Subgroup, orthogonal_complement
+
+    module = s.module
+    perp = orthogonal_complement(s)
+    target = module.level ** module.dimension
+    current = set(perp.elements())
+    gens = [list(r) for r in perp.gens.data]
+    pool = sorted(set(s.elements()) - current)
+    while len(current) < target:
+        for x in pool:
+            if x in current:
+                continue
+            if all(module.pair(x, h) == 0 for h in current):
+                gens.append(list(x))
+                sub = Subgroup(module, howell_form(ModMatrix(module.level, gens, module.rank)))
+                current = set(sub.elements())
+                break
+        else:
+            raise AssertionError("greedy isotropic extension ran out of candidates")
+    return Subgroup(module, howell_form(ModMatrix(module.level, gens, module.rank)))

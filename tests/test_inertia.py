@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from monodromy import (
@@ -25,7 +29,7 @@ from monodromy import (
     standard_symplectic_form,
     witness_exists,
 )
-from monodromy.catalog import block_sum
+from monodromy.catalog import block_sum, catalog_matrices
 from monodromy.cyclotomic import DegreeCertificate
 from monodromy.inertia import (
     is_good,
@@ -33,7 +37,7 @@ from monodromy.inertia import (
     is_tame,
     require_tame,
 )
-from monodromy.matrices import smith_normal_form
+from monodromy.matrices import is_unipotent, smith_normal_form
 from monodromy.neron import neron_torsion
 from monodromy.torsion import (
     extend_to_maximal_isotropic,
@@ -42,7 +46,9 @@ from monodromy.torsion import (
     standard_module,
 )
 
-from _oracles import naive_power
+from _oracles import brute_fixed_vectors, naive_power, split_fixed_vectors
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 I2 = IntMatrix.identity(2)
 MINUS = IntMatrix([[-1, 0], [0, -1]])
@@ -57,6 +63,30 @@ def triple(v):
 
 
 class TestClassify:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_unipotent_index_matches_direct_test(self, d):
+        for tau in catalog_matrices(d):
+            unipotent, index = is_unipotent(tau)
+            g = classify(tau)
+            assert g.unipotent_index == (index if unipotent else None)
+            assert g.power(g.semisimple_order) == tau**g.semisimple_order
+
+    def test_unipotency_check_survives_optimize(self):
+        code = (
+            "import monodromy.inertia as i, monodromy.matrices as m\n"
+            "assert False, 'assert statements must be stripped here'\n"
+            "i.is_unipotent = lambda a: (False, None)\n"
+            "i.classify(m.IntMatrix([[1, 1], [0, 1]]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.rstrip().endswith(
+            "AssertionError: characteristic polynomial (x - 1)^2d but tau - I "
+            "is not nilpotent"
+        )
+
     def test_identity(self):
         g = classify(I2)
         assert g.dimension == 1
@@ -434,6 +464,58 @@ class TestGeneratorMemo:
         g.fixed_maximal_isotropic(2)
         assert (repr(g), hash(g)) == before
         assert g == classify(ROT4, 3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fixed_subgroup_from_one_smith_form(self, d):
+        # every level is read off the one Smith form of tau - I; the
+        # references are a kernel computed mod n and an exhaustive scan
+        for tau in catalog_matrices(d):
+            g = classify(tau)
+            for n in range(2, 13):
+                fix = g.fixed_at_level(n)
+                assert fix == fixed_subgroup(tau, standard_module(n, d))
+                assert set(fix.elements()) == split_fixed_vectors(tau.reduce_mod(n))
+
+    def test_split_oracle_matches_brute_scan(self):
+        for d, levels in ((1, range(2, 13)), (2, (2, 3, 4))):
+            for tau in catalog_matrices(d)[::3]:
+                for n in levels:
+                    m = tau.reduce_mod(n)
+                    assert split_fixed_vectors(m) == brute_fixed_vectors(m)
+
+    def test_fixed_subgroup_under_non_principal_polarization(self):
+        # diag(P, P^T) keeps the induced form alternating; degree 4
+        pol = Polarization(IntMatrix([
+            [1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 1, 2],
+        ]))
+        for tau in catalog_matrices(2)[::4]:
+            g = classify(tau)
+            for n in (2, 3, 4, 5, 6, 12):
+                module = induced_pairing(standard_module(n, 2), pol)
+                fix = g.fixed_at_level(n, pol)
+                assert fix.module == module
+                assert fix == fixed_subgroup(tau, module)
+
+    def test_fixed_generator_check_survives_optimize(self):
+        # zero Smith divisors claim that every column of V is fixed;
+        # the explicit check must catch it with asserts stripped
+        code = (
+            "import monodromy.inertia as i, monodromy.matrices as m\n"
+            "assert False, 'assert statements must be stripped here'\n"
+            "real = m.smith_normal_form\n"
+            "def fake(a):\n"
+            "    snf = real(a)\n"
+            "    return m.SmithDecomposition(snf.u, m.IntMatrix.zeros(a.rows, a.cols), snf.v)\n"
+            "i.smith_normal_form = fake\n"
+            "i.classify(m.IntMatrix([[-1, 0], [0, -1]])).fixed_at_level(4)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.rstrip().endswith(
+            "AssertionError: Smith generator [1, 0] is not fixed by tau mod 4"
+        )
 
     def test_displacement_divisors(self):
         g = classify(block_sum([MINUS, I2]))

@@ -196,6 +196,27 @@ class TestModMatrix:
         with pytest.raises(MatrixError, match=f"integers, not {kind}"):
             ModMatrix(5, [[1, 0], [entry, 1]])
 
+    @pytest.mark.parametrize("modulus,kind", [
+        (2.5, "float"), (3.0, "float"), (True, "bool"), (False, "bool"), ("5", "str"),
+    ])
+    def test_non_integer_modulus_rejected(self, modulus, kind):
+        match = f"modulus must be an integer, not {kind}"
+        with pytest.raises(MatrixError, match=match):
+            ModMatrix(modulus, [[1, 0], [0, 1]])
+        with pytest.raises(MatrixError, match=match):
+            ModMatrix.identity(2, modulus)
+        with pytest.raises(MatrixError, match=match):
+            IntMatrix([[3, 1], [1, 1]]).reduce_mod(modulus)
+
+    def test_index_modulus_is_stored_as_int(self):
+        class Five:
+            def __index__(self):
+                return 5
+
+        a = IntMatrix([[7, -1], [0, 5]]).reduce_mod(Five())
+        assert type(a.modulus) is int
+        assert a == ModMatrix(5, [[2, 4], [0, 0]]) == ModMatrix(Five(), [[7, -1], [0, 5]])
+
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 12])
     def test_results_match_validated_construction(self, n):
         rng = random.Random(53 + n)

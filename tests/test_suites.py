@@ -123,6 +123,16 @@ print(report.failures[0] if report.failures else "")
 """
 
 
+def test_torsion_identity_checks_fixed_subgroup_independently(monkeypatch):
+    # the suite's reference is a kernel computed mod n, not the cached
+    # subgroup the report path reads
+    monkeypatch.setattr(suites, "fixed_subgroup",
+                        lambda tau, module: module.trivial_subgroup())
+    report = run_suite("torsion-identity", trials=1, d_max=1)
+    assert report.violations > 0
+    assert report.failures[0].startswith("fixed order drifted at n=2")
+
+
 def test_torsion_identity_fires_under_optimize():
     # python -O strips assert statements; the identity check must not be one
     proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_IDENTITY],

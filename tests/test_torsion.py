@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -22,15 +23,25 @@ from monodromy import (
     standard_module,
     standard_symplectic_form,
 )
+from monodromy.catalog import catalog_matrices, random_symplectic_conjugate
 from monodromy.torsion import subgroup_count_estimate
 
 from _oracles import (
     brute_fixed_vectors,
     brute_orthogonal,
     brute_subgroups,
+    naive_extend_to_maximal_isotropic,
     span_closure,
     structure_from_counts,
 )
+
+
+def _random_subgroup(rng, n, d):
+    rank = 2 * d
+    gens = [[rng.randrange(n) for _ in range(rank)] for _ in range(rng.randint(0, 2))]
+    # scaled generators give proper subgroups more often
+    gens = [[x * rng.choice((1, 1, 2, 3)) % n for x in g] for g in gens]
+    return standard_module(n, d).subgroup(gens), gens
 
 
 class TestTorsionModule:
@@ -69,6 +80,14 @@ class TestTorsionModule:
         # wrong size
         with pytest.raises(TorsionError):
             TorsionModule(5, 2, standard_symplectic_form(1))
+
+    @pytest.mark.parametrize("level,dimension,kind", [
+        (4.0, 1, "float"), (2.5, 1, "float"), (True, 1, "bool"), ("4", 1, "str"),
+        (4, 1.0, "float"), (4, True, "bool"),
+    ])
+    def test_non_integer_sizes_rejected(self, level, dimension, kind):
+        with pytest.raises(TorsionError, match=f"must be an integer, not {kind}"):
+            TorsionModule(level, dimension)
 
     def test_immutable_and_cached(self):
         m = standard_module(3, 1)
@@ -125,6 +144,31 @@ class TestSubgroup:
         assert not s.contains((2, 3))
         with pytest.raises(TorsionError):
             s.contains((1, 2, 3))
+
+    def test_contains_matches_span_closure(self):
+        rng = random.Random(83)
+        outcomes = set()
+        for n, d in ((2, 1), (4, 1), (6, 1), (9, 1), (12, 1), (2, 2), (4, 2), (6, 2)):
+            rank = 2 * d
+            for _ in range(15):
+                s, gens = _random_subgroup(rng, n, d)
+                members = span_closure(gens, rank, n)
+                probes = [tuple(rng.randrange(n) for _ in range(rank)) for _ in range(10)]
+                probes += rng.sample(sorted(members), min(3, len(members)))
+                for x in probes:
+                    assert s.contains(x) == (x in members)
+                    outcomes.add(x in members)
+        assert outcomes == {True, False}
+
+    def test_elements_walk_the_span_in_lexicographic_order(self):
+        rng = random.Random(89)
+        for n in range(1, 13):
+            for d in (1, 2):
+                for _ in range(2):
+                    s, gens = _random_subgroup(rng, n, d)
+                    walked = list(s.elements())
+                    assert walked == sorted(span_closure(gens, 2 * d, n))
+                    assert len(walked) == s.order
 
     def test_elements_enumerate_once(self):
         m = standard_module(4, 1)
@@ -351,6 +395,44 @@ class TestMaximalIsotropicExtension:
             assert perp.is_subgroup_of(h)
             assert h.is_subgroup_of(sub)
             assert is_maximal_isotropic(h)
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (6, 2), (5, 3)])
+    def test_full_module_matches_element_set_greedy(self, n, d):
+        s = standard_module(n, d).full_subgroup()
+        assert extend_to_maximal_isotropic(s) == naive_extend_to_maximal_isotropic(s)
+
+    def test_fixed_subgroups_match_element_set_greedy(self):
+        rng = random.Random(97)
+        checked = 0
+        for _ in range(60):
+            d = rng.randint(1, 2)
+            pool = catalog_matrices(d)
+            tau = random_symplectic_conjugate(pool[rng.randrange(len(pool))], rng)[0]
+            n = rng.choice((2, 3, 4, 5, 6, 7, 8, 9) if d == 1 else (2, 3, 4, 5, 6))
+            fix = fixed_subgroup(tau, standard_module(n, d))
+            if not orthogonal_complement(fix).is_subgroup_of(fix):
+                continue
+            assert extend_to_maximal_isotropic(fix) == naive_extend_to_maximal_isotropic(fix)
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_subgroup_under_a_moved_form_matches_element_set_greedy(self, n):
+        # with the standard form the first candidate outside H is often
+        # orthogonal to H anyway; a Gram matrix U^T J U is less kind
+        rng = random.Random(n)
+        while True:
+            u = IntMatrix([[rng.randrange(n) for _ in range(4)] for _ in range(4)])
+            if math.gcd(u.det(), n) == 1:
+                break
+        gram = (u.transpose() @ standard_symplectic_form(2) @ u).reduce_mod(n)
+        m = TorsionModule(n, 2, gram)
+        checked = 0
+        for sub in enumerate_subgroups(m):
+            if orthogonal_complement(sub).is_subgroup_of(sub):
+                assert extend_to_maximal_isotropic(sub) == naive_extend_to_maximal_isotropic(sub)
+                checked += 1
+        assert checked == {3: 81, 4: 517}[n]
 
     def test_degenerate_module_rejected(self):
         m = TorsionModule(4, 1, ModMatrix(4, [[0, 2], [-2, 0]]))
