@@ -9,9 +9,9 @@ meaning over the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from ._record import Record
 from .cyclotomic import exceptional_prime_powers
 from .inertia import (
     HypothesisNotMet,
@@ -30,14 +30,18 @@ class PreconditionExcluded(InertiaError):
     pass
 
 
-@dataclass(frozen=True)
-class CohomologyAction:
+class CohomologyAction(Record):
     """The induced matrix in degree k, over Z (modulus 0) or Z/nZ."""
 
-    degree: int
-    modulus: int
-    base: Union[IntMatrix, ModMatrix]
-    matrix: Union[IntMatrix, ModMatrix]
+    __slots__ = _fields = ("degree", "modulus", "base", "matrix")
+
+    def __init__(self, degree: int, modulus: int, base: Union[IntMatrix, ModMatrix],
+                 matrix: Union[IntMatrix, ModMatrix]) -> None:
+        put = object.__setattr__
+        put(self, "degree", degree)
+        put(self, "modulus", modulus)
+        put(self, "base", base)
+        put(self, "matrix", matrix)
 
     @property
     def size(self) -> int:

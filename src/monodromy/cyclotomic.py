@@ -15,10 +15,10 @@ polynomials are split into cyclotomic factors here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, Optional, Tuple
 
+from ._record import Record
 from .polynomials import IntPoly, cyclotomic_poly
 
 
@@ -95,12 +95,15 @@ def _primes_upto(bound: int) -> Tuple[int, ...]:
     return tuple(p for p in range(2, bound + 1) if is_prime(p))
 
 
-@dataclass(frozen=True)
-class PrimePowerSet:
+class PrimePowerSet(Record):
     """The prime powers l^m with m(l-1) <= k, together with 1."""
 
-    k: int
-    members: Tuple[int, ...]
+    __slots__ = _fields = ("k", "members")
+
+    def __init__(self, k: int, members: Tuple[int, ...]) -> None:
+        put = object.__setattr__
+        put(self, "k", k)
+        put(self, "members", members)
 
     def __contains__(self, n: int) -> bool:
         return n in self.members
@@ -156,8 +159,7 @@ def power_membership(order: int, k: int, n: int) -> bool:
     return all(c % n == 0 for c in rem.coeffs)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     """Outcome of an exhaustive membership sweep.
 
     checked counts the (order, k, n) triples where membership was
@@ -166,12 +168,19 @@ class SweepReport:
     collected in boundary_memberships.
     """
 
-    k_max: int
-    n_max: int
-    order_max: int
-    checked: int
-    violations: Tuple[Tuple[int, int, int], ...]
-    boundary_memberships: Tuple[Tuple[int, int, int], ...]
+    __slots__ = _fields = ("k_max", "n_max", "order_max", "checked", "violations",
+                           "boundary_memberships")
+
+    def __init__(self, k_max: int, n_max: int, order_max: int, checked: int,
+                 violations: Tuple[Tuple[int, int, int], ...],
+                 boundary_memberships: Tuple[Tuple[int, int, int], ...]) -> None:
+        put = object.__setattr__
+        put(self, "k_max", k_max)
+        put(self, "n_max", n_max)
+        put(self, "order_max", order_max)
+        put(self, "checked", checked)
+        put(self, "violations", violations)
+        put(self, "boundary_memberships", boundary_memberships)
 
     @property
     def ok(self) -> bool:
@@ -210,20 +219,24 @@ def quasi_unipotence_sweep(k_max: int, n_max: int, order_max: int) -> SweepRepor
     )
 
 
-@dataclass(frozen=True)
-class DegreeCertificate:
+class DegreeCertificate(Record):
     """Admissible root-of-unity orders for a congruence level, and their lcm.
 
     degree is None exactly when the certificate is unbounded, which
     happens only for n = 1 where every order is admissible.
     """
 
-    k: int
-    n: int
-    bound: int
-    admissible: Tuple[int, ...]
-    degree: Optional[int]
-    unbounded: bool
+    __slots__ = _fields = ("k", "n", "bound", "admissible", "degree", "unbounded")
+
+    def __init__(self, k: int, n: int, bound: int, admissible: Tuple[int, ...],
+                 degree: Optional[int], unbounded: bool) -> None:
+        put = object.__setattr__
+        put(self, "k", k)
+        put(self, "n", n)
+        put(self, "bound", bound)
+        put(self, "admissible", admissible)
+        put(self, "degree", degree)
+        put(self, "unbounded", unbounded)
 
 
 @lru_cache(maxsize=None)

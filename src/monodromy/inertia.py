@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
+from ._record import Record
 from .cyclotomic import (
     NonCyclotomicFactor,
     cyclotomic_factor,
@@ -97,8 +97,7 @@ def require_tame(p: int, n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class InertiaGenerator:
+class InertiaGenerator(Record):
     """Validated symplectic quasi-unipotent integer matrix with context.
 
     semisimple_order is the least e >= 1 with (tau^e - I)^2 = 0, which
@@ -110,18 +109,25 @@ class InertiaGenerator:
     Data that several criteria read off tau ((tau - I)^2, the Smith
     form of tau - I, tau^e per exponent e, the fixed subgroup and the
     fixed maximal isotropic subgroup per level and polarization) is
-    computed on first use and kept on the instance.  It is not a
-    dataclass field, so equality, hashing and repr are unchanged, and
-    it goes away with the instance.
+    computed on first use and kept in the instance __dict__.  It is not
+    a field, so equality, hashing and repr are unchanged, and it goes
+    away with the instance.
     """
 
-    matrix: IntMatrix
-    residue_char: int
-    dimension: int
-    factor_orders: Tuple[Tuple[int, int], ...]
-    semisimple_order: int
-    unipotent_index: Optional[int]
-    potentially_good: bool
+    _fields = ("matrix", "residue_char", "dimension", "factor_orders",
+               "semisimple_order", "unipotent_index", "potentially_good")
+
+    def __init__(self, matrix: IntMatrix, residue_char: int, dimension: int,
+                 factor_orders: Tuple[Tuple[int, int], ...], semisimple_order: int,
+                 unipotent_index: Optional[int], potentially_good: bool) -> None:
+        put = object.__setattr__
+        put(self, "matrix", matrix)
+        put(self, "residue_char", residue_char)
+        put(self, "dimension", dimension)
+        put(self, "factor_orders", factor_orders)
+        put(self, "semisimple_order", semisimple_order)
+        put(self, "unipotent_index", unipotent_index)
+        put(self, "potentially_good", potentially_good)
 
     @property
     def rank(self) -> int:
@@ -290,8 +296,7 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
     return gen
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """One criterion's outcome: the two sides it relates and whether
     they are consistent.
 
@@ -300,12 +305,19 @@ class Verdict:
     a self-contained statement of the rule being checked.
     """
 
-    criterion: str
-    hypothesis: Optional[bool]
-    conclusion: Optional[bool]
-    agree: bool
-    citation: str
-    witness: Optional[Subgroup] = None
+    __slots__ = _fields = ("criterion", "hypothesis", "conclusion", "agree",
+                           "citation", "witness")
+
+    def __init__(self, criterion: str, hypothesis: Optional[bool],
+                 conclusion: Optional[bool], agree: bool, citation: str,
+                 witness: Optional[Subgroup] = None) -> None:
+        put = object.__setattr__
+        put(self, "criterion", criterion)
+        put(self, "hypothesis", hypothesis)
+        put(self, "conclusion", conclusion)
+        put(self, "agree", agree)
+        put(self, "citation", citation)
+        put(self, "witness", witness)
 
 
 def _square_of_displacement(a: IntMatrix) -> IntMatrix:

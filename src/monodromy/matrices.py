@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .polynomials import IntPoly
 
 
@@ -46,6 +46,9 @@ def _entry(x, what: str = "matrix entries must be integers") -> int:
         return operator.index(x)
     except TypeError:
         raise MatrixError(f"{what}, not {type(x).__name__}") from None
+
+
+_SIZE = "matrix size must be an integer"
 
 
 def _check_modulus(modulus) -> int:
@@ -96,7 +99,9 @@ class IntMatrix:
     @staticmethod
     @lru_cache(maxsize=None, typed=True)
     def identity(n: int) -> "IntMatrix":
-        # one shared instance per size; IntMatrix is immutable
+        # one shared instance per size; IntMatrix is immutable.  The
+        # cache is typed, so identity(True) is not served as identity(1).
+        n = _entry(n, _SIZE)
         if n < 1:
             raise DimensionError("IntMatrix dimensions must be positive")
         return IntMatrix._trusted(
@@ -105,6 +110,7 @@ class IntMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
+        rows, cols = _entry(rows, _SIZE), _entry(cols, _SIZE)
         if rows < 1 or cols < 1:
             raise DimensionError("IntMatrix dimensions must be positive")
         return IntMatrix._trusted(((0,) * cols,) * rows)
@@ -286,6 +292,7 @@ class ModMatrix:
     @staticmethod
     def identity(n: int, modulus: int) -> "ModMatrix":
         modulus = _check_modulus(modulus)
+        n = _entry(n, _SIZE)
         if n < 1:
             raise DimensionError("zero-row ModMatrix needs an explicit positive column count")
         one = 1 % modulus
@@ -297,6 +304,9 @@ class ModMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int, modulus: int) -> "ModMatrix":
+        rows, cols = _entry(rows, _SIZE), _entry(cols, _SIZE)
+        if rows < 0:
+            raise DimensionError("row count must be >= 0")
         return ModMatrix(modulus, [[0] * cols for _ in range(rows)], cols)
 
     @property
@@ -460,13 +470,16 @@ def _det_bareiss(data: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U @ A @ V == D with U, V unimodular; diagonal divisors d1 | d2 | ..."""
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    __slots__ = _fields = ("u", "d", "v")
+
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
+        put = object.__setattr__
+        put(self, "u", u)
+        put(self, "d", d)
+        put(self, "v", v)
 
     @property
     def divisors(self) -> Tuple[int, ...]:

@@ -13,9 +13,9 @@ shapes of those invariants on concrete generators, clause by clause.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ._record import Record
 from .cyclotomic import cyclotomic_factor
 from .inertia import (
     DegreeObstruction,
@@ -35,8 +35,7 @@ class NotPotentiallyGood(InertiaError):
     pass
 
 
-@dataclass(frozen=True)
-class NeronInvariants:
+class NeronInvariants(Record):
     """Rank split and component group of the reduction.
 
     a + u + t = d with t = 0 throughout; phi lists the elementary
@@ -44,13 +43,20 @@ class NeronInvariants:
     removed (all of phi when p = 0).
     """
 
-    dimension: int
-    residue_char: int
-    abelian_rank: int
-    unipotent_rank: int
-    toric_rank: int
-    phi: Tuple[int, ...]
-    phi_prime: Tuple[int, ...]
+    __slots__ = _fields = ("dimension", "residue_char", "abelian_rank",
+                           "unipotent_rank", "toric_rank", "phi", "phi_prime")
+
+    def __init__(self, dimension: int, residue_char: int, abelian_rank: int,
+                 unipotent_rank: int, toric_rank: int, phi: Tuple[int, ...],
+                 phi_prime: Tuple[int, ...]) -> None:
+        put = object.__setattr__
+        put(self, "dimension", dimension)
+        put(self, "residue_char", residue_char)
+        put(self, "abelian_rank", abelian_rank)
+        put(self, "unipotent_rank", unipotent_rank)
+        put(self, "toric_rank", toric_rank)
+        put(self, "phi", phi)
+        put(self, "phi_prime", phi_prime)
 
     @property
     def component_group_order(self) -> int:
@@ -99,17 +105,22 @@ def neron_invariants(gen: InertiaGenerator, p: Optional[int] = None) -> NeronInv
     )
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(Record):
     """Per-level snapshot: the fixed subgroup of the n-torsion and the
     n-torsion of the component group, with the kernel-count identity
     #ker((tau - I) mod n) = n^(2a) * #Phi[n] already checked."""
 
-    level: int
-    fixed_order: int
-    fixed_structure: Tuple[int, ...]
-    phi_torsion: Tuple[int, ...]
-    b_exponent: Optional[int]
+    __slots__ = _fields = ("level", "fixed_order", "fixed_structure", "phi_torsion",
+                           "b_exponent")
+
+    def __init__(self, level: int, fixed_order: int, fixed_structure: Tuple[int, ...],
+                 phi_torsion: Tuple[int, ...], b_exponent: Optional[int]) -> None:
+        put = object.__setattr__
+        put(self, "level", level)
+        put(self, "fixed_order", fixed_order)
+        put(self, "fixed_structure", fixed_structure)
+        put(self, "phi_torsion", phi_torsion)
+        put(self, "b_exponent", b_exponent)
 
 
 def neron_torsion(gen: InertiaGenerator, n: int,

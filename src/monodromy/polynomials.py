@@ -8,12 +8,12 @@ recursive division x^N - 1 = prod_{d | N} Phi_d.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Tuple
 
+from ._record import Record
 
-@dataclass(frozen=True, init=False)
-class IntPoly:
+
+class IntPoly(Record):
     """Integer polynomial, constant term first.
 
     IntPoly((1, 0, 1)) is 1 + x^2.  Trailing zero coefficients are
@@ -21,10 +21,10 @@ class IntPoly:
     degree -1.
     """
 
-    coeffs: Tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = [int(c) for c in coeffs]
+        cs = list(map(int, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
+from ._record import Record
 from .cyclotomic import is_prime
 from .inertia import InertiaGenerator, classify
 from .matrices import IntMatrix
@@ -37,15 +37,22 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Scenario:
-    dimension: int
-    residue_char: int
-    tau: IntMatrix
-    polarization: Optional[Polarization] = None
-    level: Optional[int] = None
-    strictly_henselian: bool = False
-    seed: int = 0
+class Scenario(Record):
+    _fields = ("dimension", "residue_char", "tau", "polarization", "level",
+               "strictly_henselian", "seed")
+
+    def __init__(self, dimension: int, residue_char: int, tau: IntMatrix,
+                 polarization: Optional[Polarization] = None,
+                 level: Optional[int] = None, strictly_henselian: bool = False,
+                 seed: int = 0) -> None:
+        put = object.__setattr__
+        put(self, "dimension", dimension)
+        put(self, "residue_char", residue_char)
+        put(self, "tau", tau)
+        put(self, "polarization", polarization)
+        put(self, "level", level)
+        put(self, "strictly_henselian", strictly_henselian)
+        put(self, "seed", seed)
 
     @cached_property
     def _generator(self) -> InertiaGenerator:
@@ -53,7 +60,7 @@ class Scenario:
 
     def generator(self) -> InertiaGenerator:
         """The classified generator, computed once per scenario and
-        kept on the instance outside the dataclass fields."""
+        kept in the instance __dict__ outside the fields."""
         return self._generator
 
     def to_json_dict(self) -> Dict:
@@ -163,19 +170,25 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(obj)
 
 
-@dataclass(frozen=True)
-class HypothesisInstance:
+class HypothesisInstance(Record):
     """A generated generator that satisfies one family's entry
     hypothesis by construction, with the transported witness."""
 
-    family: str
-    level: int
-    base: IntMatrix
-    matrix: IntMatrix
-    conjugator: IntMatrix
-    conjugator_inverse: IntMatrix
-    residue_char: int
-    witness: Optional[Subgroup]
+    __slots__ = _fields = ("family", "level", "base", "matrix", "conjugator",
+                           "conjugator_inverse", "residue_char", "witness")
+
+    def __init__(self, family: str, level: int, base: IntMatrix, matrix: IntMatrix,
+                 conjugator: IntMatrix, conjugator_inverse: IntMatrix,
+                 residue_char: int, witness: Optional[Subgroup]) -> None:
+        put = object.__setattr__
+        put(self, "family", family)
+        put(self, "level", level)
+        put(self, "base", base)
+        put(self, "matrix", matrix)
+        put(self, "conjugator", conjugator)
+        put(self, "conjugator_inverse", conjugator_inverse)
+        put(self, "residue_char", residue_char)
+        put(self, "witness", witness)
 
     def generator(self) -> InertiaGenerator:
         return classify(self.matrix, self.residue_char)

@@ -9,9 +9,9 @@ string is a bug in the library, not in the suite.
 """
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from ._record import Record
 from .catalog import (
     FINITE_ORDER_PRIMITIVES,
     block_sum,
@@ -72,17 +72,22 @@ class SuiteError(ValueError):
     """Unknown suite id or unusable parameters."""
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     """Aggregated outcome of one suite run."""
 
-    suite: str
-    trials: int
-    seed: int
-    d_max: int
-    checked: int
-    violations: int
-    failures: Tuple[str, ...]
+    __slots__ = _fields = ("suite", "trials", "seed", "d_max", "checked", "violations",
+                           "failures")
+
+    def __init__(self, suite: str, trials: int, seed: int, d_max: int, checked: int,
+                 violations: int, failures: Tuple[str, ...]) -> None:
+        put = object.__setattr__
+        put(self, "suite", suite)
+        put(self, "trials", trials)
+        put(self, "seed", seed)
+        put(self, "d_max", d_max)
+        put(self, "checked", checked)
+        put(self, "violations", violations)
+        put(self, "failures", failures)
 
     @property
     def passed(self) -> bool:

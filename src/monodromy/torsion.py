@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
+from ._record import Record
 from .matrices import (
     IntMatrix,
     MatrixError,
@@ -44,13 +44,18 @@ class EnumerationCapError(TorsionError):
     pass
 
 
-def _size(value, name: str) -> int:
-    # a float or bool level would build a float or 0/1 Gram matrix;
-    # non-integers are refused by the same rule as matrix entries
+def _integer(value, what: str) -> int:
+    # non-integers are refused by the same rule as matrix entries:
+    # bool, float and str raise instead of being converted
     try:
-        value = _entry(value, f"{name} must be an integer")
+        return _entry(value, what)
     except MatrixError as exc:
         raise TorsionError(str(exc)) from None
+
+
+def _size(value, name: str) -> int:
+    # a float or bool level would build a float or 0/1 Gram matrix
+    value = _integer(value, f"{name} must be an integer")
     if value < 1:
         raise TorsionError(f"{name} must be >= 1")
     return value
@@ -137,12 +142,15 @@ class TorsionModule:
         return f"TorsionModule(level={self.level}, dimension={self.dimension})"
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """Subgroup of a torsion module, held in Howell canonical form."""
 
-    module: TorsionModule
-    gens: ModMatrix
+    __slots__ = _fields = ("module", "gens")
+
+    def __init__(self, module: TorsionModule, gens: ModMatrix) -> None:
+        put = object.__setattr__
+        put(self, "module", module)
+        put(self, "gens", gens)
 
     @property
     def order(self) -> int:
@@ -155,7 +163,8 @@ class Subgroup:
     def contains(self, x) -> bool:
         """Whether x lies in the subgroup, by reduction against the
         Howell rows (see _in_span)."""
-        vec = tuple(int(v) % self.module.level for v in x)
+        n = self.module.level
+        vec = tuple(_integer(v, "vector entries must be integers") % n for v in x)
         if len(vec) != self.module.rank:
             raise TorsionError("vector length does not match the module rank")
         return _in_span(self.gens, howell_pivots(self.gens), vec)
@@ -269,15 +278,15 @@ def _structure(level: int, rank: int, gens: ModMatrix) -> Tuple[int, ...]:
     return tuple(s for s in snf.divisors if s > 1)
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(Record):
     """Integer 2d x 2d matrix standing in for an isogeny to the dual."""
 
-    matrix: IntMatrix
+    __slots__ = _fields = ("matrix",)
 
-    def __post_init__(self) -> None:
-        if not self.matrix.is_square or self.matrix.rows % 2:
+    def __init__(self, matrix: IntMatrix) -> None:
+        if not matrix.is_square or matrix.rows % 2:
             raise TorsionError("polarization matrix must be square of even size")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def degree(self) -> int:

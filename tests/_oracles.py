@@ -5,12 +5,13 @@ vector scans, closure by repeated addition.  Slow is fine; these only
 run on small inputs, and they share no code paths with the package.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from monodromy import IntMatrix, IntPoly, ModMatrix
+from monodromy import IntMatrix, IntPoly, ModMatrix, TorsionError
 
 
 def leibniz_det(rows: Sequence[Sequence[int]]) -> int:
@@ -348,3 +349,65 @@ def naive_extend_to_maximal_isotropic(s):
         else:
             raise AssertionError("greedy isotropic extension ran out of candidates")
     return Subgroup(module, howell_form(ModMatrix(module.level, gens, module.rank)))
+
+
+# The package's frozen records as they were declared with
+# @dataclass(frozen=True): field names in order, a (name, default) pair
+# where the declaration had a default.  dataclass_twin builds a real
+# frozen dataclass from each declaration, and the hand-written records
+# must behave exactly like it.
+RECORD_DECLARATIONS = {
+    "IntPoly": (("coeffs", ()),),
+    "SmithDecomposition": ("u", "d", "v"),
+    "PrimePowerSet": ("k", "members"),
+    "SweepReport": ("k_max", "n_max", "order_max", "checked", "violations",
+                    "boundary_memberships"),
+    "DegreeCertificate": ("k", "n", "bound", "admissible", "degree", "unbounded"),
+    "Subgroup": ("module", "gens"),
+    "Polarization": ("matrix",),
+    "InertiaGenerator": ("matrix", "residue_char", "dimension", "factor_orders",
+                         "semisimple_order", "unipotent_index", "potentially_good"),
+    "Verdict": ("criterion", "hypothesis", "conclusion", "agree", "citation",
+                ("witness", None)),
+    "NeronInvariants": ("dimension", "residue_char", "abelian_rank", "unipotent_rank",
+                        "toric_rank", "phi", "phi_prime"),
+    "TorsionReport": ("level", "fixed_order", "fixed_structure", "phi_torsion",
+                      "b_exponent"),
+    "Scenario": ("dimension", "residue_char", "tau", ("polarization", None),
+                 ("level", None), ("strictly_henselian", False), ("seed", 0)),
+    "HypothesisInstance": ("family", "level", "base", "matrix", "conjugator",
+                           "conjugator_inverse", "residue_char", "witness"),
+    "CohomologyAction": ("degree", "modulus", "base", "matrix"),
+    "SuiteReport": ("suite", "trials", "seed", "d_max", "checked", "violations",
+                    "failures"),
+}
+
+
+def _polarization_post_init(self):
+    if not self.matrix.is_square or self.matrix.rows % 2:
+        raise TorsionError("polarization matrix must be square of even size")
+
+
+def _subgroup_repr(self):
+    n = self.module.level
+    order = len(span_closure(self.gens.data, self.module.rank, n))
+    return f"Subgroup(order={order}, gens={[list(r) for r in self.gens.data]!r} mod {n})"
+
+
+def dataclass_twin(name: str):
+    """A frozen dataclass named like the record, from its declaration.
+
+    Subgroup declared its own __repr__, which the decorator keeps; its
+    twin spells that repr out with the order counted by closure.
+    Polarization checked its matrix in __post_init__.
+    """
+    namespace = {}
+    if name == "Subgroup":
+        namespace["__repr__"] = _subgroup_repr
+    if name == "Polarization":
+        namespace["__post_init__"] = _polarization_post_init
+    fields = [
+        f if isinstance(f, str) else (f[0], object, dataclasses.field(default=f[1]))
+        for f in RECORD_DECLARATIONS[name]
+    ]
+    return dataclasses.make_dataclass(name, fields, namespace=namespace, frozen=True)

@@ -141,8 +141,54 @@ class TestIntMatrix:
         assert IntMatrix.identity(3).data == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         with pytest.raises(AttributeError):
             IntMatrix.identity(3).data = ((0,),)
-        with pytest.raises(TypeError):
+        with pytest.raises(MatrixError):
             IntMatrix.identity(2.0)
+
+
+class TestSizes:
+    """identity and zeros take their sizes by the rule for entries:
+    bool, float and str raise MatrixError, __index__ integers pass."""
+
+    @pytest.mark.parametrize("size,kind", [
+        (2.0, "float"), (2.5, "float"), (True, "bool"), (False, "bool"), ("2", "str"),
+    ])
+    def test_non_integer_sizes_rejected(self, size, kind):
+        match = f"matrix size must be an integer, not {kind}"
+        for make in (
+            lambda: IntMatrix.identity(size),
+            lambda: IntMatrix.zeros(size, 2),
+            lambda: IntMatrix.zeros(2, size),
+            lambda: ModMatrix.identity(size, 5),
+            lambda: ModMatrix.zeros(size, 2, 5),
+            lambda: ModMatrix.zeros(2, size, 5),
+        ):
+            with pytest.raises(MatrixError, match=match):
+                make()
+
+    def test_bool_size_is_not_served_from_the_identity_cache(self):
+        one = IntMatrix.identity(1)
+        with pytest.raises(MatrixError, match="not bool"):
+            IntMatrix.identity(True)
+        assert IntMatrix.identity(1) is one
+
+    def test_index_sizes_accepted(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        assert IntMatrix.identity(Two()) == IntMatrix.identity(2)
+        assert IntMatrix.zeros(Two(), Two()) == IntMatrix.zeros(2, 2)
+        assert ModMatrix.identity(Two(), 5) == ModMatrix.identity(2, 5)
+        z = ModMatrix.zeros(Two(), Two(), 5)
+        assert z == ModMatrix(5, [[0, 0], [0, 0]])
+        assert type(z.rows) is int and type(z.cols) is int
+
+    def test_zero_and_negative_row_counts(self):
+        assert ModMatrix.zeros(0, 3, 5) == ModMatrix(5, [], 3)
+        with pytest.raises(DimensionError):
+            ModMatrix.zeros(-1, 3, 5)
+        with pytest.raises(DimensionError):
+            ModMatrix.identity(0, 5)
 
 
 class TestStandardSymplecticForm:

@@ -14,8 +14,9 @@ import monodromy
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Prints the monodromy modules whose code has run; a submodule that is
-# only registered for deferred loading is not counted.
+# Prints the monodromy modules whose code has run, and the standard
+# modules named in STDLIB once loaded; a submodule that is only
+# registered for deferred loading is not counted.
 _FOOTPRINT = """
 import contextlib, io, json, sys, types
 import monodromy{cli}
@@ -25,9 +26,15 @@ if argv:
         monodromy.cli.main(argv)
 print(json.dumps(sorted(
     name for name, module in sys.modules.items()
-    if (name == "concurrent" or name.startswith(("monodromy", "concurrent.")))
+    if (name in ("concurrent", "dataclasses", "inspect")
+        or name.startswith(("monodromy", "concurrent.")))
     and type(module) is types.ModuleType)))
 """
+
+# dataclasses costs a cold process about 20 ms: its import pulls in
+# inspect, and every decorated class execs generated methods.  The
+# records are written out by hand instead (monodromy._record).
+STDLIB = {"dataclasses", "inspect"}
 
 HEAVY = {"inertia", "torsion", "neron", "scenarios", "reports", "suites", "cohomology"}
 
@@ -68,6 +75,20 @@ class TestFootprint:
         assert {"reports", "neron", "scenarios"} <= loaded
         # catalog only serves instance generation, which analyze never runs
         assert not loaded & {"suites", "cohomology", "catalog", "concurrent"}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{scenario}", "--format", "text"],
+        ["analyze", "{scenario}", "--format", "json"],
+        ["verify", "--suite", "neron2", "--trials", "1"],
+        ["tables", "--nk", "4"],
+        ["tables", "--r", "2", "4"],
+        ["oracle", "sweep", "--kmax", "2", "--nmax", "4", "--Nmax", "20"],
+        ["cohomology", "{scenario}", "--k", "1", "--n", "5"],
+    ])
+    def test_no_command_loads_dataclasses_or_inspect(self, scenario_file, argv):
+        loaded = footprint([a.format(scenario=scenario_file) for a in argv])
+        assert "cli" in loaded
+        assert not loaded & STDLIB
 
     def test_verify_loads_suites(self):
         loaded = footprint(["verify", "--suite", "neron2", "--trials", "1"])

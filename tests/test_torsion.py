@@ -145,6 +145,22 @@ class TestSubgroup:
         with pytest.raises(TorsionError):
             s.contains((1, 2, 3))
 
+    @pytest.mark.parametrize("coordinate,kind", [
+        (2.7, "float"), (2.0, "float"), (True, "bool"), ("2", "str"),
+    ])
+    def test_contains_refuses_non_integer_coordinates(self, coordinate, kind):
+        s = standard_module(6, 1).subgroup([[2, 0]])
+        with pytest.raises(TorsionError, match=f"integers, not {kind}"):
+            s.contains((coordinate, 0))
+
+    def test_contains_accepts_index_coordinates(self):
+        class Eight:
+            def __index__(self):
+                return 8
+
+        s = standard_module(6, 1).subgroup([[2, 0]])
+        assert s.contains((Eight(), 0)) and not s.contains((0, Eight()))
+
     def test_contains_matches_span_closure(self):
         rng = random.Random(83)
         outcomes = set()
