@@ -115,14 +115,13 @@ def _plane_permutation(d: int, perm: Sequence[int]) -> IntMatrix:
     return IntMatrix(out)
 
 
-def random_symplectic(rng: random.Random, d: int,
-                      factors: int = 6) -> Tuple[IntMatrix, IntMatrix]:
-    """A random product of transvections and plane permutations,
+def random_symplectic(rng: random.Random, d: int) -> Tuple[IntMatrix, IntMatrix]:
+    """A random product of six transvections and plane permutations,
     returned with its exact inverse."""
     n = 2 * d
     u = IntMatrix.identity(n)
     u_inv = IntMatrix.identity(n)
-    for _ in range(factors):
+    for _ in range(6):
         if d > 1 and rng.random() < 0.25:
             perm = list(range(d))
             rng.shuffle(perm)
@@ -144,11 +143,10 @@ def random_symplectic(rng: random.Random, d: int,
 
 
 def random_symplectic_conjugate(
-    base: IntMatrix, rng: random.Random, factors: int = 6
+    base: IntMatrix, rng: random.Random
 ) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U base U^-1, U, U^-1) for a random symplectic U."""
-    d = base.rows // 2
-    u, u_inv = random_symplectic(rng, d, factors)
+    u, u_inv = random_symplectic(rng, base.rows // 2)
     return u @ base @ u_inv, u, u_inv
 
 

@@ -8,10 +8,12 @@ Subcommands:
   cohomology  one degree-k vanishing verdict for a scenario
 
 Exit codes: 0 success, 1 a suite or sweep found violations, 2 bad
-usage or unusable input.
+usage or unusable input, 141 (128 + SIGPIPE) the reader closed stdout
+before the output was written, as in `monodromy analyze s.json | head -1`.
 """
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -194,16 +196,25 @@ def _cmd_cohomology(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {
+        "analyze": _cmd_analyze,
+        "verify": _cmd_verify,
+        "tables": _cmd_tables,
+        "oracle": _cmd_oracle_sweep,
+        "cohomology": _cmd_cohomology,
+    }[args.command]
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "tables":
-            return _cmd_tables(args)
-        if args.command == "oracle":
-            return _cmd_oracle_sweep(args)
-        return _cmd_cohomology(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # BrokenPipeError is an OSError, so it is caught before the usage
+        # errors.  Pointing stdout at devnull keeps the flush at shutdown
+        # from raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as exc:
         if not isinstance(exc, _usage_errors()):
             raise

@@ -270,10 +270,9 @@ def semistability_degree(k: int, n: int, bound: int = 1000) -> DegreeCertificate
     if n == 1:
         return DegreeCertificate(k, n, bound, (), None, True)
     admissible = [1]
-    # phi(N) >= sqrt(N/2), so N <= 2k^2 exhausts phi(N) <= k
-    for order in range(2, min(bound, 2 * k * k) + 1):
-        if euler_phi(order) > k:
-            continue
+    for order in _orders_with_phi_at_most(k)[1:]:
+        if order > bound:
+            break
         comps = prime_power_components(order)
         if all(power_membership(q, k, n) for q in comps) and power_membership(
             order, k, n

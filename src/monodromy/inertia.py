@@ -38,7 +38,6 @@ from .torsion import (
     Subgroup,
     TorsionModule,
     extend_to_maximal_isotropic,
-    fixed_subgroup,
     fixes_pointwise,
     induced_pairing,
     enumerate_subgroups,
@@ -160,6 +159,11 @@ class InertiaGenerator(Record):
     def displacement_divisors(self) -> Tuple[int, ...]:
         """Smith divisors of tau - I over Z, zeros last."""
         return self._displacement_snf.divisors
+
+    def fixes_all_torsion(self, m: int) -> bool:
+        """Whether tau fixes every m-torsion point, that is tau = I mod
+        m: m divides every Smith divisor of tau - I."""
+        return all(d % m == 0 for d in self.displacement_divisors)
 
     @cached_property
     def _powers(self) -> Dict[int, IntMatrix]:
@@ -361,8 +365,7 @@ def is_purely_additive(gen: InertiaGenerator) -> bool:
     return 0 not in gen.displacement_divisors
 
 
-def witness_exists(gen: InertiaGenerator, n: int,
-                   module: Optional[TorsionModule] = None) -> bool:
+def witness_exists(gen: InertiaGenerator, n: int) -> bool:
     """Whether some subgroup S at level n has tau trivial on S and on
     its orthogonal complement.
 
@@ -371,13 +374,11 @@ def witness_exists(gen: InertiaGenerator, n: int,
     complement and the test collapses to FIX-perp <= FIX.
     """
     require_tame(gen.residue_char, n)
-    fix = gen.fixed_at_level(n) if module is None else fixed_subgroup(gen.matrix, module)
+    fix = gen.fixed_at_level(n)
     return orthogonal_complement(fix).is_subgroup_of(fix)
 
 
-def find_witness_subgroup(gen: InertiaGenerator, n: int,
-                          module: Optional[TorsionModule] = None,
-                          cap: int = 10**6) -> Optional[Subgroup]:
+def find_witness_subgroup(gen: InertiaGenerator, n: int) -> Optional[Subgroup]:
     """First subgroup in canonical order with tau trivial on it and on
     its orthogonal complement, or None.
 
@@ -387,12 +388,10 @@ def find_witness_subgroup(gen: InertiaGenerator, n: int,
     Raises:
       EnumerationCapError: subgroup enumeration refused (propagated).
     """
-    if not witness_exists(gen, n, module):
+    if not witness_exists(gen, n):
         return None
-    if module is None:
-        module = gen.module(n)
     tau_mod = gen.matrix.reduce_mod(n)
-    for sub in enumerate_subgroups(module, cap):
+    for sub in enumerate_subgroups(gen.module(n)):
         if fixes_pointwise(tau_mod, sub) and fixes_pointwise(
             tau_mod, orthogonal_complement(sub)
         ):
@@ -403,7 +402,7 @@ def find_witness_subgroup(gen: InertiaGenerator, n: int,
 def raynaud_criterion(gen: InertiaGenerator, m: int) -> Verdict:
     """Unramified m-torsion with m >= 3 forces semistability."""
     require_tame(gen.residue_char, m)
-    hypothesis = (gen.matrix - IntMatrix.identity(gen.rank)).reduce_mod(m).is_zero()
+    hypothesis = gen.fixes_all_torsion(m)
     citation = (
         "if tau fixes all points of the m-torsion for some m >= 3, "
         "then (tau - I)^2 = 0; at m = 2 the rule fails (tau = -I)"
@@ -454,9 +453,7 @@ def level_structure_criterion(gen: InertiaGenerator, n: int,
     return Verdict("level-structure", exists, conclusion, agree, citation, witness)
 
 
-def exceptional_criterion(gen: InertiaGenerator, n: int,
-                          module: Optional[TorsionModule] = None,
-                          cap: int = 10**6) -> Verdict:
+def exceptional_criterion(gen: InertiaGenerator, n: int) -> Verdict:
     """A witness subgroup at level n forces semistability in degree
     R, the lcm of root-of-unity orders admissible for (2, n).
 
@@ -469,7 +466,7 @@ def exceptional_criterion(gen: InertiaGenerator, n: int,
     degree = semistability_degree(2, n).degree
     if degree is None:
         raise AssertionError(f"semistability degree unbounded at level {n}")
-    witness = find_witness_subgroup(gen, n, module, cap)
+    witness = find_witness_subgroup(gen, n)
     citation = (
         f"a subgroup S at level {n} with tau trivial on S and on its "
         f"orthogonal complement forces (tau^{degree} - I)^2 = 0, the "
@@ -510,10 +507,6 @@ def _fixed_has_element_of_order(gen: InertiaGenerator, r: int) -> bool:
     return bool(structure) and structure[-1] % r == 0
 
 
-def _fixes_all_two_torsion(gen: InertiaGenerator) -> bool:
-    return gen.fixed_at_level(2).order == 2**gen.rank
-
-
 def _clause(name: str, allowed: bool, left, right, citation: str) -> Verdict:
     """One equivalence clause: hypothesis left(), conclusion right(),
     agree their equality; both sides None when the residue
@@ -550,7 +543,7 @@ def elliptic_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
         ),
         _clause(
             "elliptic-c", p != 2,
-            lambda: _fixed_has_element_of_order(gen, 4) or _fixes_all_two_torsion(gen),
+            lambda: _fixed_has_element_of_order(gen, 4) or gen.fixes_all_torsion(2),
             lambda: semistable_after_extension(gen, 2),
             "for p != 2: a fixed point of order 4 exists, or all points of "
             "order 2 are fixed, iff (tau^2 - I)^2 = 0",
@@ -559,7 +552,7 @@ def elliptic_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
             "elliptic-d",
             p != 2 and gen.potentially_good and not is_good(gen),
             lambda: (not _fixed_has_element_of_order(gen, 4))
-            and _fixes_all_two_torsion(gen),
+            and gen.fixes_all_torsion(2),
             lambda: gen.power(2) == IntMatrix.identity(gen.rank),
             "for p != 2 and bad potentially good reduction: tau^2 = I iff "
             "no fixed point of order 4 exists and all points of order 2 are fixed",
@@ -578,7 +571,7 @@ def elliptic_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
             "elliptic-f", p not in (2, 3),
             lambda: not _fixed_has_element_of_order(gen, 4)
             and not _fixed_has_element_of_order(gen, 3)
-            and not _fixes_all_two_torsion(gen),
+            and not gen.fixes_all_torsion(2),
             lambda: not any(semistable_after_extension(gen, e) for e in range(1, 4)),
             "for p not in {2, 3}: no fixed point of order 4 or 3 and not all "
             "order-2 points fixed iff no base change of degree below 4 is semistable",

@@ -96,6 +96,11 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: restoring the slots
+        # one by one would go through the refusing __setattr__
+        return IntMatrix, (self.data,)
+
     @staticmethod
     @lru_cache(maxsize=None, typed=True)
     def identity(n: int) -> "IntMatrix":
@@ -288,6 +293,10 @@ class ModMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ModMatrix is immutable")
+
+    def __reduce__(self):
+        # cols too, which a zero-row matrix cannot do without
+        return ModMatrix, (self.modulus, self.data, self.cols)
 
     @staticmethod
     def identity(n: int, modulus: int) -> "ModMatrix":

@@ -73,7 +73,7 @@ def _strip_p_part(q: int, p: int) -> int:
     return q
 
 
-def neron_invariants(gen: InertiaGenerator, p: Optional[int] = None) -> NeronInvariants:
+def neron_invariants(gen: InertiaGenerator) -> NeronInvariants:
     """Invariants of the reduction for a finite-order generator.
 
     Raises:
@@ -81,8 +81,7 @@ def neron_invariants(gen: InertiaGenerator, p: Optional[int] = None) -> NeronInv
     """
     if not gen.potentially_good:
         raise NotPotentiallyGood("tau must have finite order")
-    if p is None:
-        p = gen.residue_char
+    p = gen.residue_char
     divisors = gen.displacement_divisors
     zero_count = sum(1 for q in divisors if q == 0)
     # the fixed sublattice of a finite-order symplectic action is
@@ -123,8 +122,7 @@ class TorsionReport(Record):
         put(self, "b_exponent", b_exponent)
 
 
-def neron_torsion(gen: InertiaGenerator, n: int,
-                  p: Optional[int] = None) -> TorsionReport:
+def neron_torsion(gen: InertiaGenerator, n: int) -> TorsionReport:
     """Fixed n-torsion and component-group n-torsion, cross-checked.
 
     The fixed subgroup of the n-torsion is the kernel of (tau - I)
@@ -137,8 +135,8 @@ def neron_torsion(gen: InertiaGenerator, n: int,
     """
     if n < 1:
         raise InertiaError("level must be >= 1")
-    inv = neron_invariants(gen, p)
-    require_tame(inv.residue_char, n)
+    inv = neron_invariants(gen)
+    require_tame(gen.residue_char, n)
     fix = gen.fixed_at_level(n)
     phi_n = tuple(sorted(g for g in (math.gcd(q, n) for q in inv.phi) if g > 1))
     count = n ** (2 * inv.abelian_rank) * inv.phi_torsion_order(n)
@@ -171,8 +169,7 @@ def _fixed_maximal_isotropic(gen: InertiaGenerator, n: int,
 
 
 def verify_neron2(gen: InertiaGenerator,
-                  pol: Optional[Polarization] = None,
-                  p: Optional[int] = None) -> Tuple[Verdict, ...]:
+                  pol: Optional[Polarization] = None) -> Tuple[Verdict, ...]:
     """Two-torsion shape of the component group.
 
     With a fixed maximal isotropic subgroup of the two-torsion and
@@ -184,14 +181,14 @@ def verify_neron2(gen: InertiaGenerator,
     Raises:
       NotPotentiallyGood, HypothesisNotMet, WildRamification.
     """
-    inv = neron_invariants(gen, p)
-    if inv.residue_char == 2:
+    inv = neron_invariants(gen)
+    if gen.residue_char == 2:
         raise HypothesisNotMet("residue characteristic 2 is excluded")
     if _fixed_maximal_isotropic(gen, 2, pol) is None:
         raise HypothesisNotMet(
             "no fixed maximal isotropic subgroup of the two-torsion"
         )
-    report = neron_torsion(gen, 2, p)
+    report = neron_torsion(gen, 2)
     if report.b_exponent is None:
         raise AssertionError(
             f"fixed two-torsion order {report.fixed_order} is not a power of 2"
@@ -230,8 +227,7 @@ def verify_neron2(gen: InertiaGenerator,
 
 
 def verify_neron3(gen: InertiaGenerator,
-                  pol: Optional[Polarization] = None,
-                  p: Optional[int] = None) -> Tuple[Verdict, ...]:
+                  pol: Optional[Polarization] = None) -> Tuple[Verdict, ...]:
     """Three-torsion shape: fixed order 3^(2d - u), component group
     elementary abelian of rank u, good iff all fixed, purely additive
     iff the fixed part has order 3^d.
@@ -239,14 +235,14 @@ def verify_neron3(gen: InertiaGenerator,
     Raises:
       NotPotentiallyGood, HypothesisNotMet, WildRamification.
     """
-    inv = neron_invariants(gen, p)
-    if inv.residue_char == 3:
+    inv = neron_invariants(gen)
+    if gen.residue_char == 3:
         raise HypothesisNotMet("residue characteristic 3 is excluded")
     if _fixed_maximal_isotropic(gen, 3, pol) is None:
         raise HypothesisNotMet(
             "no fixed maximal isotropic subgroup of the three-torsion"
         )
-    report = neron_torsion(gen, 3, p)
+    report = neron_torsion(gen, 3)
     d, u = gen.dimension, inv.unipotent_rank
     out = []
 
@@ -290,8 +286,7 @@ def _two_torsion_inside(module) -> Subgroup:
 
 
 def verify_neron4(gen: InertiaGenerator, mode: str,
-                  pol: Optional[Polarization] = None,
-                  p: Optional[int] = None) -> Tuple[Verdict, ...]:
+                  pol: Optional[Polarization] = None) -> Tuple[Verdict, ...]:
     """Four-torsion shape under either entry hypothesis.
 
     mode "a": tau acts trivially on the two-torsion.
@@ -306,12 +301,11 @@ def verify_neron4(gen: InertiaGenerator, mode: str,
     Raises:
       NotPotentiallyGood, HypothesisNotMet, WildRamification.
     """
-    inv = neron_invariants(gen, p)
-    if inv.residue_char == 2:
+    inv = neron_invariants(gen)
+    if gen.residue_char == 2:
         raise HypothesisNotMet("residue characteristic 2 is excluded")
     if mode == "a":
-        displaced = (gen.matrix - IntMatrix.identity(gen.rank)).reduce_mod(2)
-        if not displaced.is_zero():
+        if not gen.fixes_all_torsion(2):
             raise HypothesisNotMet("tau is not trivial on the two-torsion")
     elif mode == "b":
         if _fixed_maximal_isotropic(gen, 4, pol) is None:
@@ -320,7 +314,7 @@ def verify_neron4(gen: InertiaGenerator, mode: str,
             )
     else:
         raise InertiaError(f"unknown mode {mode!r}")
-    report = neron_torsion(gen, 4, p)
+    report = neron_torsion(gen, 4)
     a, u, d = inv.abelian_rank, inv.unipotent_rank, gen.dimension
     module = gen.module(4)
     fix4 = gen.fixed_at_level(4)

@@ -112,6 +112,15 @@ Unit = Callable[[], Tuple[int, List[str]]]
 _MAX_REPORTED = 12
 
 
+def _trial_suite(check: Callable[[int, int, int], Tuple[int, List[str]]]) -> Callable:
+    """A suite of one unit per trial, unit i running check(i, seed, d_max)."""
+
+    def build(trials: int, seed: int, d_max: int) -> List[Unit]:
+        return [lambda index=index: check(index, seed, d_max) for index in range(trials)]
+
+    return build
+
+
 def _fmt(m: IntMatrix) -> str:
     return str([list(row) for row in m.data])
 
@@ -171,10 +180,10 @@ def _build_mod_n_equivalence(trials: int, seed: int, d_max: int) -> List[Unit]:
 # existence of a level-5 witness subgroup vs semistability
 
 
-def _check_witness(tau: IntMatrix, module, pairs, tag: str) -> Tuple[int, List[str]]:
+def _check_witness(tau: IntMatrix, pairs, tag: str) -> Tuple[int, List[str]]:
     gen = classify(tau)
     integral = galois_criterion(gen)
-    fast = witness_exists(gen, 5, module)
+    fast = witness_exists(gen, 5)
     # tau - I mod 5 once per unit; the scan still tests every pair
     displacement = (tau - IntMatrix.identity(tau.rows)).reduce_mod(5)
     brute = any(
@@ -201,28 +210,25 @@ def _build_witness_equivalence(trials: int, seed: int, d_max: int) -> List[Unit]
     if d_max > 2:
         raise SuiteError(f"witness-equivalence needs d_max <= 2, got {d_max}")
     units: List[Unit] = []
-    modules = {d: standard_module(5, d) for d in range(1, d_max + 1)}
     # complements are reused across every unit, so pay for them once
     pair_tables = {
         d: tuple(
-            (s, orthogonal_complement(s)) for s in enumerate_subgroups(modules[d])
+            (s, orthogonal_complement(s))
+            for s in enumerate_subgroups(standard_module(5, d))
         )
-        for d in modules
+        for d in range(1, d_max + 1)
     }
     for d in range(1, d_max + 1):
         for i, tau in enumerate(catalog_matrices(d)):
             units.append(
                 lambda tau=tau, d=d, i=i: _check_witness(
-                    tau, modules[d], pair_tables[d], f"catalog d={d} #{i}"
+                    tau, pair_tables[d], f"catalog d={d} #{i}"
                 )
             )
 
     def random_unit(index: int) -> Tuple[int, List[str]]:
-        rng = _trial_rng(seed, index)
-        d = rng.randint(1, d_max)
-        pool = catalog_matrices(d)
-        tau = random_symplectic_conjugate(pool[rng.randrange(len(pool))], rng)[0]
-        return _check_witness(tau, modules[d], pair_tables[d], f"trial {index}")
+        tau = _random_catalog_matrix(_trial_rng(seed, index), d_max)
+        return _check_witness(tau, pair_tables[tau.rows // 2], f"trial {index}")
 
     units.extend(lambda index=index: random_unit(index) for index in range(trials))
     return units
@@ -454,7 +460,7 @@ def _span_count(rows: Sequence[Sequence[int]], cols: int, n: int) -> int:
     return len(seen)
 
 
-def _linalg_unit(index: int, seed: int) -> Tuple[int, List[str]]:
+def _linalg_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[str]]:
     rng = _trial_rng(seed, index)
     failures = []
     checked = 0
@@ -522,10 +528,6 @@ def _linalg_unit(index: int, seed: int) -> Tuple[int, List[str]]:
         failures.append(f"kernel wrong for {_fmt(km.lift())} mod {small_n}")
 
     return checked, failures
-
-
-def _build_linalg_properties(trials: int, seed: int, d_max: int) -> List[Unit]:
-    return [lambda index=index: _linalg_unit(index, seed) for index in range(trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -605,49 +607,23 @@ def _build_unipotent_vanishing(trials: int, seed: int, d_max: int) -> List[Unit]
 _FIXED_LEVELS = (2, 3, 4, 5)
 
 
-def _brute_fixed_order(tau_mod: ModMatrix) -> int:
-    n = tau_mod.modulus
-    size = tau_mod.rows
-    vec = [0] * size
-    count = 0
-    for code in range(n**size):
-        x = code
-        for j in range(size):
-            vec[j] = x % n
-            x //= n
-        if all(
-            sum(tau_mod.data[i][j] * vec[j] for j in range(size)) % n == vec[i]
-            for i in range(size)
-        ):
-            count += 1
-    return count
-
-
 def _fixed_complement_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[str]]:
     rng = _trial_rng(seed, index)
     tau = _random_catalog_matrix(rng, d_max)
     d = tau.rows // 2
     n = _FIXED_LEVELS[rng.randrange(len(_FIXED_LEVELS))]
-    module = standard_module(n, d)
-    tau_mod = tau.reduce_mod(n)
-    fix = fixed_subgroup(tau_mod, module)
+    fix = fixed_subgroup(tau, standard_module(n, d))
     comp = orthogonal_complement(fix)
     failures = []
     tag = f"trial {index} n={n} tau={_fmt(tau)}"
-    if fix.order != _brute_fixed_order(tau_mod):
+    # the fixed points are the kernel of tau - I
+    if fix.order != _brute_kernel_count((tau - IntMatrix.identity(2 * d)).reduce_mod(n)):
         failures.append(f"fixed subgroup order disagrees with brute scan on {tag}")
     if fix.order * comp.order != n ** (2 * d):
         failures.append(f"complement duality order identity fails on {tag}")
     if orthogonal_complement(comp) != fix:
         failures.append(f"double complement drifts on {tag}")
     return 3, failures
-
-
-def _build_fixed_complement(trials: int, seed: int, d_max: int) -> List[Unit]:
-    return [
-        lambda index=index: _fixed_complement_unit(index, seed, d_max)
-        for index in range(trials)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +681,7 @@ def _component_bound_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[
     base = block_sum([pool[rng.randrange(len(pool))] for _ in range(d)])
     tau = random_symplectic_conjugate(base, rng)[0]
     p = rng.choice((0, 5, 7))
-    inv = neron_invariants(classify(tau, p), p or None)
+    inv = neron_invariants(classify(tau, p))
     failures = []
     tag = f"trial {index} p={p} tau={_fmt(tau)}"
     u = inv.unipotent_rank
@@ -724,13 +700,6 @@ def _component_bound_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[
     if stripped != prime_to_p:
         failures.append(f"prime-to-p reduction of the component group drifts on {tag}")
     return 3, failures
-
-
-def _build_component_bound(trials: int, seed: int, d_max: int) -> List[Unit]:
-    return [
-        lambda index=index: _component_bound_unit(index, seed, d_max)
-        for index in range(trials)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -764,13 +733,6 @@ def _conjugation_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[str]
     return 1, failures
 
 
-def _build_conjugation_invariance(trials: int, seed: int, d_max: int) -> List[Unit]:
-    return [
-        lambda index=index: _conjugation_unit(index, seed, d_max)
-        for index in range(trials)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # registry and runner
 
@@ -785,12 +747,12 @@ _BUILDERS: Dict[str, Callable[[int, int, int], List[Unit]]] = {
     "cokernel-torsion": _build_cokernel_torsion,
     "torsion-identity": _build_torsion_identity,
     "higher-cohomology": _build_higher_cohomology,
-    "linalg-properties": _build_linalg_properties,
+    "linalg-properties": _trial_suite(_linalg_unit),
     "unipotent-vanishing": _build_unipotent_vanishing,
-    "fixed-complement": _build_fixed_complement,
+    "fixed-complement": _trial_suite(_fixed_complement_unit),
     "raynaud-sharpness": _build_raynaud_sharpness,
-    "component-bound": _build_component_bound,
-    "conjugation-invariance": _build_conjugation_invariance,
+    "component-bound": _trial_suite(_component_bound_unit),
+    "conjugation-invariance": _trial_suite(_conjugation_unit),
 }
 
 SUITE_IDS: Tuple[str, ...] = tuple(_BUILDERS)

@@ -99,6 +99,9 @@ class TorsionModule:
     def __setattr__(self, name, value):
         raise AttributeError("TorsionModule is immutable")
 
+    def __reduce__(self):
+        return TorsionModule, (self.level, self.dimension, self.gram)
+
     @property
     def rank(self) -> int:
         return 2 * self.dimension

@@ -168,30 +168,29 @@ def test_criterion_07_neron_fixed_point_batteries():
         return total
 
     for family, count, runner in (
-        ("neron2", 500, lambda g, p: verify_neron2(g, p=p)),
-        ("neron3", 500, lambda g, p: verify_neron3(g, p=p)),
-        ("neron4a", 250, lambda g, p: verify_neron4(g, "a", p=p)),
-        ("neron4b", 250, lambda g, p: verify_neron4(g, "b", p=p)),
+        ("neron2", 500, verify_neron2),
+        ("neron3", 500, verify_neron3),
+        ("neron4a", 250, lambda g: verify_neron4(g, "a")),
+        ("neron4b", 250, lambda g: verify_neron4(g, "b")),
     ):
         for inst in generate_hypothesis_instances(family, count, 3, seed=11):
             gen = inst.generator()
-            p = inst.residue_char or None
-            for v in runner(gen, p):
+            for v in runner(gen):
                 if not v.agree:
                     failures.append((family, v.criterion))
-            inv = neron_invariants(gen, p)
+            inv = neron_invariants(gen)
             d, a, u = inv.dimension, inv.abelian_rank, inv.unipotent_rank
             if family == "neron2":
-                rep = neron_torsion(gen, 2, p)
+                rep = neron_torsion(gen, 2)
                 index = 2 ** (2 * d) // rep.fixed_order
                 ok = (index * phi_prime_order(inv) == 2 ** (2 * u)
                       and all(q == 2 for q in inv.phi_prime))
             elif family == "neron3":
-                rep = neron_torsion(gen, 3, p)
+                rep = neron_torsion(gen, 3)
                 ok = (rep.fixed_order == 3 ** (2 * d - u)
                       and inv.phi_prime == (3,) * u)
             else:
-                rep = neron_torsion(gen, 4, p)
+                rep = neron_torsion(gen, 4)
                 ok = (rep.fixed_structure == (2,) * (2 * u) + (4,) * (2 * a)
                       and inv.phi_prime == (2,) * (2 * u))
             if not ok:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from monodromy.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MINUS_SCENARIO = {"d": 1, "p": 3, "tau": [[-1, 0], [0, -1]], "seed": 0}
 SHEAR_I_SCENARIO = {
@@ -108,6 +113,23 @@ class TestAnalyze:
         path = scenario_path({"d": 1, "p": 2, "tau": [[-1, 0], [0, -1]], "seed": 0})
         assert main(["analyze", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_stdout_exits_141_quietly(self, scenario_path, fmt):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with EPIPE on every run
+        path = scenario_path(MINUS_SCENARIO)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "monodromy", "analyze", path, "--format", fmt],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env=dict(os.environ, PYTHONPATH=SRC))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestVerify:

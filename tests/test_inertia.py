@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -29,16 +30,17 @@ from monodromy import (
     standard_symplectic_form,
     witness_exists,
 )
-from monodromy.catalog import block_sum, catalog_matrices
+from monodromy.catalog import block_sum, catalog_matrices, random_symplectic_conjugate
 from monodromy.cyclotomic import DegreeCertificate
 from monodromy.inertia import (
+    InertiaGenerator,
     is_good,
     is_purely_additive,
     is_tame,
     require_tame,
 )
 from monodromy.matrices import is_unipotent, smith_normal_form
-from monodromy.neron import neron_torsion
+from monodromy.neron import neron_torsion, verify_neron4
 from monodromy.torsion import (
     extend_to_maximal_isotropic,
     fixed_subgroup,
@@ -464,6 +466,33 @@ class TestGeneratorMemo:
         g.fixed_maximal_isotropic(2)
         assert (repr(g), hash(g)) == before
         assert g == classify(ROT4, 3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fixes_all_torsion_matches_the_matrix_mod_m(self, d):
+        # read off the Smith divisors; the reference is tau - I mod m
+        rng = random.Random(d)
+        for base in catalog_matrices(d):
+            for tau in (base, random_symplectic_conjugate(base, rng)[0]):
+                g = classify(tau)
+                displacement = tau - IntMatrix.identity(2 * d)
+                for m in range(1, 13):
+                    assert g.fixes_all_torsion(m) == displacement.reduce_mod(m).is_zero()
+
+    def test_trivial_torsion_has_one_home(self, monkeypatch):
+        # Raynaud's hypothesis, the elliptic clauses and Neron mode "a"
+        # all ask the generator
+        asked = []
+        real = InertiaGenerator.fixes_all_torsion
+        monkeypatch.setattr(InertiaGenerator, "fixes_all_torsion",
+                            lambda self, m: asked.append(m) or real(self, m))
+        g = classify(MINUS, 3)
+        assert raynaud_criterion(g, 4).hypothesis is False
+        assert asked == [4]
+        elliptic_criteria(g)
+        assert set(asked) == {4, 2}
+        asked.clear()
+        verify_neron4(g, "a")
+        assert asked == [2]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_fixed_subgroup_from_one_smith_form(self, d):

@@ -12,12 +12,12 @@ from monodromy import IntMatrix, Polarization, TorsionError, classify, standard_
 from monodromy.cohomology import CohomologyAction
 from monodromy.cyclotomic import DegreeCertificate, PrimePowerSet, SweepReport
 from monodromy.inertia import InertiaGenerator, Verdict
-from monodromy.matrices import SmithDecomposition
+from monodromy.matrices import DimensionError, ModMatrix, SmithDecomposition
 from monodromy.neron import NeronInvariants, TorsionReport
 from monodromy.polynomials import IntPoly
 from monodromy.scenarios import HypothesisInstance, Scenario
 from monodromy.suites import SuiteReport
-from monodromy.torsion import Subgroup
+from monodromy.torsion import Subgroup, induced_pairing
 
 from _oracles import RECORD_DECLARATIONS, dataclass_twin
 
@@ -149,18 +149,44 @@ def test_defaults_and_keywords_match_the_twin(name):
         record(*args, None)
 
 
-@pytest.mark.parametrize("name", ["IntPoly", "PrimePowerSet", "SweepReport",
-                                  "DegreeCertificate", "Verdict", "NeronInvariants",
-                                  "TorsionReport", "SuiteReport"])
+def _clones(x):
+    return (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)))
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_copy_and_pickle_like_a_frozen_dataclass(name):
-    # samples whose fields are plain data: the matrix and module classes
-    # refuse the slot-by-slot restore that copy and pickle do
-    plain = [a for a in SAMPLES[name] if all(isinstance(x, (int, str, tuple, type(None))) for x in a)]
-    assert plain
-    for args in plain:
+    # every sample, including those holding matrices, modules and subgroups
+    for args in SAMPLES[name]:
         r = RECORDS[name](*args)
-        for clone in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        for clone in _clones(r):
             assert type(clone) is type(r) and clone == r and repr(clone) == repr(r)
+            assert hash(clone) == hash(r)
+
+
+@pytest.mark.parametrize("value", [
+    IntMatrix([[1, -2], [3, 4]]),
+    IntMatrix([[7, 0, -1]]),
+    ModMatrix(6, [[1, 5], [2, 3]]),
+    ModMatrix(5, [], 4),
+    standard_module(5, 2),
+    induced_pairing(standard_module(7, 1), Polarization(2 * IntMatrix.identity(2))),
+], ids=["int", "int-row", "mod", "mod-zero-rows", "module", "module-gram"])
+def test_matrices_and_modules_copy_and_pickle(value):
+    for clone in _clones(value):
+        assert type(clone) is type(value) and clone == value
+        assert hash(clone) == hash(value) and repr(clone) == repr(value)
+        assert all(getattr(clone, f) == getattr(value, f) for f in type(value).__slots__)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(clone, type(value).__slots__[0], None)
+
+
+def test_unpickling_goes_through_the_constructor():
+    # a payload the constructor refuses is refused on load: column count 0
+    payload = pickle.dumps(ModMatrix(5, [], 4), protocol=4)
+    assert payload.count(b"K\x04") == 1
+    forged = payload.replace(b"K\x04", b"K\x00")
+    with pytest.raises(DimensionError):
+        pickle.loads(forged)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 import monodromy.suites as suites
-from monodromy import SUITE_IDS, SuiteError, SuiteReport, run_suite
+from monodromy import SUITE_IDS, SuiteError, SuiteReport, canonical_json, run_suite
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -41,6 +42,42 @@ class TestRegistry:
             run_suite("neron2", d_max=0)
 
 
+# SHA-256 of canonical_json(report.to_json_dict()) for trials=10, seed=1,
+# d_max=2: a refactor of a suite must leave its report byte for byte
+REPORT_SHA256 = {
+    "mod-n-equivalence":
+        "8821f0ce83cde5e8ddb3bffc4f182fc41c6bc1e4a642c0335792733a929a4c43",
+    "witness-equivalence":
+        "2092919b9971836e361c56657013f7c80e5c2af168daff0d0ad925268d478856",
+    "cyclotomic-sweep":
+        "33bd42e8dc4c4ab8fad15450fd46f383133ec22f762adb29d9069d75b88b03ad",
+    "neron2":
+        "42a601cec76456cadea058d69a099455863fcf430a1e6d0a72e0b01ada1dfef8",
+    "neron3":
+        "9d0a5614c6f2d38dd96dd3b8d78a571a709ea892819f465ef895c69609fbbda6",
+    "neron4":
+        "e84d472a96ce27e50bb96ffc8d11a2ce42017029da693377f8cbb3c20ae5c8fa",
+    "cokernel-torsion":
+        "1d6900b24e3d7b2b519cb1a78c5653bb3056c1a122b6630ccea37f0fcd2e583d",
+    "torsion-identity":
+        "a772ffafb3be9e3e9b07363b95ebb7c2b84dea171c8a67a0570131cfb7c6c6ac",
+    "higher-cohomology":
+        "8e779d8e3987838bb1845149f5f36cd91371316fcc136e6a38d78199e69842cb",
+    "linalg-properties":
+        "082861275d12cd653f9bd0879db88e4988e56ea46cefc5691a4fc5651db816dc",
+    "unipotent-vanishing":
+        "f66cab07737d9573980fabfe1b866791ce9e9434dfe08f4f4de887aa239098d3",
+    "fixed-complement":
+        "84cd1f0914328588b0eda92c4943a58edfdd481eb4311634a152217cf4163cd3",
+    "raynaud-sharpness":
+        "bc6ab0a6a359cadfce0d33ffdb822a37d812985df34c080b4177192f8ad80fea",
+    "component-bound":
+        "bd929c8f9006647a0aefd1d1ef35f61bc1a95cefeb60aeabbb5d28f0445af43a",
+    "conjugation-invariance":
+        "f888d060f12950e4859cdea17c53bb45012f2d9edc5e5fe6799bc2b6df97439a",
+}
+
+
 class TestAllSuitesPass:
     # small trial counts; the acceptance run turns the numbers up
     @pytest.mark.parametrize("suite", SUITE_IDS)
@@ -50,6 +87,8 @@ class TestAllSuitesPass:
         assert report.violations == 0
         assert report.checked > 0
         assert report.suite == suite
+        digest = hashlib.sha256(canonical_json(report.to_json_dict()).encode()).hexdigest()
+        assert digest == REPORT_SHA256[suite]
 
     def test_report_fields(self):
         report = run_suite("mod-n-equivalence", trials=5, seed=3, d_max=1)
