@@ -313,16 +313,18 @@ def cyclotomic_factor(p: IntPoly) -> Dict[int, int]:
         raise ValueError("only monic polynomials factor into cyclotomics")
     out: Dict[int, int] = {}
     rem = p
-    while rem.degree > 0:
-        hit = None
-        for order in _orders_with_phi_at_most(rem.degree):
-            q = cyclotomic_poly(order)
+    # each order is tried once, strip by strip: a cyclotomic polynomial
+    # that does not divide rem divides none of its later quotients
+    for order in _orders_with_phi_at_most(p.degree):
+        if rem.degree == 0:
+            break
+        q = cyclotomic_poly(order)
+        while q.degree <= rem.degree:
             quo, r = divmod(rem, q)
-            if r.is_zero():
-                hit = order
-                rem = quo
+            if not r.is_zero():
                 break
-        if hit is None:
-            raise NonCyclotomicFactor(rem)
-        out[hit] = out.get(hit, 0) + 1
+            out[order] = out.get(order, 0) + 1
+            rem = quo
+    if rem.degree > 0:
+        raise NonCyclotomicFactor(rem)
     return out

@@ -106,8 +106,9 @@ class InertiaGenerator(Record):
     identity assigned index 0, and None otherwise.
 
     Data that several criteria read off tau ((tau - I)^2, the Smith
-    form of tau - I, tau^e per exponent e, the fixed subgroup and the
-    fixed maximal isotropic subgroup per level and polarization) is
+    form of tau - I, tau^e per exponent e, the fixed subgroup FIX, the
+    containment FIX-perp <= FIX and the fixed maximal isotropic
+    subgroup per level and polarization, and the Neron invariants) is
     computed on first use and kept in the instance __dict__.  It is not
     a field, so equality, hashing and repr are unchanged, and it goes
     away with the instance.
@@ -174,6 +175,10 @@ class InertiaGenerator(Record):
         return {}
 
     @cached_property
+    def _perp_inside(self) -> Dict[Tuple[int, Optional[Polarization]], bool]:
+        return {}
+
+    @cached_property
     def _isotropic(self) -> Dict[Tuple[int, Optional[Polarization]], Optional[Subgroup]]:
         return {}
 
@@ -216,6 +221,15 @@ class InertiaGenerator(Record):
                 )
         return howell_form(ModMatrix._trusted(n, tuple(gens), self.rank))
 
+    def _fixed_perp_inside(self, n: int, pol: Optional[Polarization] = None) -> bool:
+        """Whether FIX-perp <= FIX for the fixed subgroup FIX at level n
+        (under the pairing induced by pol)."""
+        key = (n, pol)
+        if key not in self._perp_inside:
+            fix = self.fixed_at_level(n, pol)
+            self._perp_inside[key] = orthogonal_complement(fix).is_subgroup_of(fix)
+        return self._perp_inside[key]
+
     def fixed_maximal_isotropic(self, n: int,
                                 pol: Optional[Polarization] = None) -> Optional[Subgroup]:
         """The canonical fixed maximal isotropic subgroup at level n:
@@ -233,7 +247,7 @@ class InertiaGenerator(Record):
             )
         key = (n, pol)
         if key not in self._isotropic:
-            exists = orthogonal_complement(fix).is_subgroup_of(fix)
+            exists = self._fixed_perp_inside(n, pol)
             self._isotropic[key] = extend_to_maximal_isotropic(fix) if exists else None
         return self._isotropic[key]
 
@@ -256,8 +270,14 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
     if not matrix.is_square or matrix.rows % 2 or matrix.rows < 2:
         raise NotSymplectic("matrix must be square of even positive size")
     d = matrix.rows // 2
-    j = standard_symplectic_form(d)
-    if matrix.transpose() @ j @ matrix != j:
+    # tau^T (J tau), where J tau is tau's bottom half over minus its top half
+    t = matrix.data
+    j_tau = t[d:] + tuple(tuple(-x for x in row) for row in t[:d])
+    mul = operator.mul
+    j_cols = tuple(zip(*j_tau))
+    if tuple(
+        tuple(sum(map(mul, col, jc)) for jc in j_cols) for col in zip(*t)
+    ) != standard_symplectic_form(d).data:
         raise NotSymplectic("matrix does not preserve the standard symplectic form")
     try:
         factors = cyclotomic_factor(char_poly(matrix))
@@ -374,8 +394,7 @@ def witness_exists(gen: InertiaGenerator, n: int) -> bool:
     complement and the test collapses to FIX-perp <= FIX.
     """
     require_tame(gen.residue_char, n)
-    fix = gen.fixed_at_level(n)
-    return orthogonal_complement(fix).is_subgroup_of(fix)
+    return gen._fixed_perp_inside(n)
 
 
 def find_witness_subgroup(gen: InertiaGenerator, n: int) -> Optional[Subgroup]:

@@ -6,11 +6,11 @@ forms here are the load-bearing primitives for everything else:
 
 * Smith normal form over Z with unimodular transforms and a fixed
   pivoting rule, so outputs are deterministic and testable.
-* Row Hermite normal form over Z, which doubles as the engine for the
-  Howell form over Z/nZ: the Howell form of a row span is the mod-n
-  reduction of the Hermite form of the rows stacked over n*I.  That
-  makes the Howell form canonical: two generating sets span the same
-  submodule of (Z/nZ)^c exactly when their forms are identical.
+* Row Hermite normal form over Z, and the Howell form over Z/nZ: the
+  Howell form of a row span is the mod-n reduction of the Hermite form
+  of the lattice spanned by the rows and n*Z^c.  That makes the Howell
+  form canonical: two generating sets span the same submodule of
+  (Z/nZ)^c exactly when their forms are identical.
 """
 
 from __future__ import annotations
@@ -134,11 +134,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._trusted(tuple(zip(*self.data)))
-
-    def trace(self) -> int:
-        if not self.is_square:
-            raise DimensionError("trace needs a square matrix")
-        return sum(self.data[i][i] for i in range(self.rows))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -503,85 +498,94 @@ class SmithDecomposition(Record):
         return len(self.nonzero_divisors)
 
 
-def _select_pivot(m, rows, cols, t):
-    best = None
-    best_abs = 0
-    for i in range(t, rows):
-        for j in range(t, cols):
-            v = m[i][j]
-            if v != 0 and (best is None or abs(v) < best_abs):
-                best = (i, j)
-                best_abs = abs(v)
-    return best
-
-
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms.
 
-    The pivot at each stage is the smallest-absolute-value nonzero entry
-    of the trailing block, ties broken row-major, so the computation is
-    deterministic.  Diagonal entries come out nonnegative with zeros
-    last and each dividing the next.
+    At each stage the pivot is the smallest-absolute-value nonzero
+    entry of the trailing block, ties broken row-major, moved to the
+    corner and made positive.  Its column and then its row are cleared
+    by exact quotients, or by an extended-gcd step that replaces the
+    pivot by the gcd, until both are clear and the pivot divides the
+    whole trailing block; a row holding an entry it does not divide is
+    added to the pivot row first.  The computation is deterministic,
+    and diagonal entries come out nonnegative with zeros last and each
+    dividing the next.
     """
     rows, cols = a.rows, a.cols
     m = a.to_lists()
     u = IntMatrix.identity(rows).to_lists()
-    v = IntMatrix.identity(cols).to_lists()
+    vt = IntMatrix.identity(cols).to_lists()  # row j is column j of V
     for t in range(min(rows, cols)):
-        while True:
-            piv = _select_pivot(m, rows, cols, t)
-            if piv is None:
+        best = 0
+        for i in range(t, rows):
+            row = m[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x and (not best or abs(x) < best):
+                    best, pi, pj = abs(x), i, j
+            if best == 1:
                 break
-            pi, pj = piv
-            if pi != t:
-                m[t], m[pi] = m[pi], m[t]
-                u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for row in m:
-                    row[t], row[pj] = row[pj], row[t]
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
-            pivot = m[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t]:
-                    q = m[i][t] // pivot
-                    if q:
-                        m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                    if m[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if m[t][j]:
-                    q = m[t][j] // pivot
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if m[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            stain = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % pivot:
-                        stain = i
-                        break
-                if stain is not None:
-                    break
-            if stain is None:
-                break
-            m[t] = [x + y for x, y in zip(m[t], m[stain])]
-            u[t] = [x + y for x, y in zip(u[t], u[stain])]
+        if not best:
+            break
+        m[t], m[pi] = m[pi], m[t]
+        u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+            vt[t], vt[pj] = vt[pj], vt[t]
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
             u[t] = [-x for x in u[t]]
+        while True:
+            p = m[t][t]
+            for i in range(t + 1, rows):
+                b = m[i][t]
+                if not b:
+                    continue
+                q, r = divmod(b, p)
+                if not r:
+                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    continue
+                g, c, e = _xgcd(p, b)
+                pg, bg = p // g, b // g
+                for w in (m, u):
+                    wt, wi = w[t], w[i]
+                    w[t] = [c * x + e * y for x, y in zip(wt, wi)]
+                    w[i] = [bg * x - pg * y for x, y in zip(wt, wi)]
+                p = g
+            # column t is now zero off the pivot, so an exact column
+            # operation changes only row t of m; a gcd step refills
+            # column t, which is then cleared again
+            for j in range(t + 1, cols):
+                b = m[t][j]
+                if not b:
+                    continue
+                q, r = divmod(b, p)
+                if not r:
+                    m[t][j] = 0
+                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                    continue
+                g, c, e = _xgcd(p, b)
+                pg, bg = p // g, b // g
+                for w in m:
+                    x, y = w[t], w[j]
+                    w[t], w[j] = c * x + e * y, bg * x - pg * y
+                xs, ys = vt[t], vt[j]
+                vt[t] = [c * x + e * y for x, y in zip(xs, ys)]
+                vt[j] = [bg * x - pg * y for x, y in zip(xs, ys)]
+                break
+            else:
+                stain = next((i for i in range(t + 1, rows) if p > 1
+                              and any(x % p for x in m[i][t + 1:])), None)
+                if stain is None:
+                    break
+                m[t] = [x + y for x, y in zip(m[t], m[stain])]
+                u[t] = [x + y for x, y in zip(u[t], u[stain])]
     return SmithDecomposition(
         IntMatrix._trusted(tuple(map(tuple, u))),
         IntMatrix._trusted(tuple(map(tuple, m))),
-        IntMatrix._trusted(tuple(map(tuple, v))),
+        IntMatrix._trusted(tuple(zip(*vt))),
     )
 
 
@@ -637,24 +641,72 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     return IntMatrix(rows)
 
 
+def _lattice_basis(n: int, cols: int, rows: Iterable[Sequence[int]]) -> List[List[int]]:
+    """Row Hermite basis of the lattice spanned by rows and n*Z^cols.
+
+    Starts from the basis n*I and inserts each row in turn, clearing
+    its entry at every pivot column with one extended-gcd step against
+    that column's basis row, so the basis stays upper triangular with
+    every pivot dividing n.  Vectors are reduced mod n as they go: an
+    element of n*Z^cols that vanishes left of column j is spanned by the
+    basis rows at j and beyond, which the insertion has not touched yet.
+    Each row ends exactly at 0, so the basis spans the whole lattice;
+    reducing the entries above each pivot makes it the Hermite form.
+    """
+    basis = [[n if i == j else 0 for j in range(cols)] for i in range(cols)]
+    for row in rows:
+        r = [x % n for x in row]
+        for j in range(cols):
+            b = r[j]
+            if not b:
+                continue
+            piv = basis[j]
+            a = piv[j]
+            q, rem = divmod(b, a)
+            if not rem:
+                r = [(x - q * y) % n for x, y in zip(r, piv)]
+                continue
+            g, s, t = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            basis[j] = [(s * y + t * x) % n for x, y in zip(r, piv)]
+            r = [(bg * y - ag * x) % n for x, y in zip(r, piv)]
+    for j in range(1, cols):
+        pj = basis[j]
+        p = pj[j]
+        for i in range(j):
+            q = basis[i][j] // p
+            if q:
+                basis[i] = [x - q * y for x, y in zip(basis[i], pj)]
+    return basis
+
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b > 0, for (a, b) != 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
 def howell_form(a: ModMatrix) -> ModMatrix:
     """Canonical generator matrix for the row span of a over Z/nZ.
 
-    Computed as the Hermite form of the rows stacked over n*I, reduced
-    mod n with vanishing rows dropped.  Every pivot divides n, and two
-    matrices have equal row spans iff their Howell forms are equal.
+    The Hermite basis of the lattice spanned by the rows and n*Z^c,
+    reduced mod n: its rows with pivot n are n*e_j and vanish, and
+    every other entry already lies in [0, n).  Every pivot divides n,
+    and two matrices have equal row spans iff their Howell forms are
+    equal.
     """
-    n, cols = a.modulus, a.cols
-    stacked = a.to_lists() + [
-        [n if i == j else 0 for j in range(cols)] for i in range(cols)
-    ]
-    h = _hnf_rows(stacked, cols)
-    out = []
-    for row in h:
-        red = tuple(x % n for x in row)
-        if any(red):
-            out.append(red)
-    return ModMatrix._trusted(n, tuple(out), cols)
+    n = a.modulus
+    basis = _lattice_basis(n, a.cols, a.data)
+    return ModMatrix._trusted(
+        n, tuple(tuple(row) for j, row in enumerate(basis) if row[j] != n), a.cols
+    )
 
 
 def howell_pivots(h: ModMatrix) -> Tuple[Tuple[int, int], ...]:
@@ -694,24 +746,30 @@ def kernel_mod_n(a: ModMatrix) -> ModMatrix:
 def char_poly(a: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(x*I - a), exactly over Z.
 
-    Faddeev-LeVerrier: every division is exact, and the Cayley-Hamilton
-    identity is checked at the end; both checks raise AssertionError
-    in every interpreter mode.
+    Faddeev-LeVerrier on plain rows: M_1 = a, c_(n-k) = -tr(M_k) / k
+    and M_(k+1) = a (M_k + c_(n-k) I).  Every division is exact, and
+    the Cayley-Hamilton identity M_n + c_0 I = 0 is checked at the end;
+    both checks raise AssertionError in every interpreter mode.
     """
     if not a.is_square:
         raise DimensionError("characteristic polynomial needs a square matrix")
     n = a.rows
+    rows = a.data
+    mul = operator.mul
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    m = IntMatrix.identity(n)
+    m = [list(row) for row in rows]
     for k in range(1, n + 1):
-        am = a @ m
-        q, rem = divmod(-am.trace(), k)
+        q, rem = divmod(-sum(m[i][i] for i in range(n)), k)
         if rem:
             raise AssertionError("Faddeev-LeVerrier division must be exact")
         coeffs[n - k] = q
-        m = am + q * IntMatrix.identity(n)
-    if not m.is_zero():
+        for i in range(n):
+            m[i][i] += q
+        if k < n:
+            cols = tuple(zip(*m))
+            m = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    if any(map(any, m)):
         raise AssertionError("Cayley-Hamilton check failed")
     return IntPoly(coeffs)
 

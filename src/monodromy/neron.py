@@ -41,6 +41,14 @@ class NeronInvariants(Record):
     a + u + t = d with t = 0 throughout; phi lists the elementary
     divisors above 1 of tau - I, phi_prime the same with p-power parts
     removed (all of phi when p = 0).
+
+    For a generator that classify accepts, phi_prime == phi.  With m
+    the order of tau and N = 1 + tau + ... + tau^(m-1), m x = N x modulo
+    the image of tau - I, and N (tau - I) = tau^m - I = 0, so N kills
+    every x whose class in coker(tau - I) is torsion.  So m kills that
+    torsion, whose divisors are phi, and classify requires m prime to
+    p: no divisor has a p-part to strip.  Stripping only acts on a
+    generator built without classify.
     """
 
     __slots__ = _fields = ("dimension", "residue_char", "abelian_rank",
@@ -74,13 +82,21 @@ def _strip_p_part(q: int, p: int) -> int:
 
 
 def neron_invariants(gen: InertiaGenerator) -> NeronInvariants:
-    """Invariants of the reduction for a finite-order generator.
+    """Invariants of the reduction for a finite-order generator, built
+    once and kept in the generator's memo.
 
     Raises:
       NotPotentiallyGood: tau has infinite order.
     """
     if not gen.potentially_good:
         raise NotPotentiallyGood("tau must have finite order")
+    memo = gen.__dict__
+    if "_neron" not in memo:
+        memo["_neron"] = _neron_invariants(gen)
+    return memo["_neron"]
+
+
+def _neron_invariants(gen: InertiaGenerator) -> NeronInvariants:
     p = gen.residue_char
     divisors = gen.displacement_divisors
     zero_count = sum(1 for q in divisors if q == 0)

@@ -23,6 +23,7 @@ from .matrices import (
     MatrixError,
     ModMatrix,
     _entry,
+    _lattice_basis,
     howell_form,
     howell_pivots,
     kernel_mod_n,
@@ -70,7 +71,7 @@ def standard_module(n: int, d: int) -> "TorsionModule":
 class TorsionModule:
     """(Z/nZ)^(2d) with an alternating pairing <x, y> = x^T G y."""
 
-    __slots__ = ("level", "dimension", "gram")
+    __slots__ = ("level", "dimension", "gram", "_nondegenerate")
 
     def __init__(
         self,
@@ -95,6 +96,7 @@ class TorsionModule:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_nondegenerate", math.gcd(gram.det(), level) == 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("TorsionModule is immutable")
@@ -111,7 +113,7 @@ class TorsionModule:
         return self.level ** self.rank
 
     def is_nondegenerate(self) -> bool:
-        return math.gcd(self.gram.det(), self.level) == 1
+        return self._nondegenerate
 
     def pair(self, x: Tuple[int, ...], y: Tuple[int, ...]) -> int:
         n = self.level
@@ -260,12 +262,7 @@ def _structure(level: int, rank: int, gens: ModMatrix) -> Tuple[int, ...]:
     # Full-rank integer basis of the preimage lattice L with nZ^c <= L,
     # then L / nZ^c has invariant factors given by the Smith form of
     # n * H^{-1}, which is integral exactly because nZ^c <= L.
-    from .matrices import _hnf_rows
-
-    stacked = [list(r) for r in gens.data] + [
-        [level if i == j else 0 for j in range(rank)] for i in range(rank)
-    ]
-    h = IntMatrix(_hnf_rows(stacked, rank))
+    h = IntMatrix._trusted(tuple(map(tuple, _lattice_basis(level, rank, gens.data))))
     det = h.det()
     adj = h.adjugate()
     c_rows = []

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from monodromy import IntMatrix, IntPoly, ModMatrix, TorsionError
+from monodromy import IntMatrix, IntPoly, ModMatrix, TorsionError, hermite_normal_form
 
 
 def leibniz_det(rows: Sequence[Sequence[int]]) -> int:
@@ -181,6 +181,21 @@ def span_closure(
                 seen.add(nxt)
                 frontier.append(nxt)
     return frozenset(seen)
+
+
+def naive_howell_form(a: ModMatrix) -> ModMatrix:
+    """Howell form as the Hermite form of the rows stacked over n*I,
+    reduced mod n with vanishing rows dropped."""
+    n, cols = a.modulus, a.cols
+    stacked = a.to_lists() + [
+        [n if i == j else 0 for j in range(cols)] for i in range(cols)
+    ]
+    out = []
+    for row in hermite_normal_form(IntMatrix(stacked)).data:
+        red = tuple(x % n for x in row)
+        if any(red):
+            out.append(red)
+    return ModMatrix(n, out, cols)
 
 
 def brute_subgroups(size: int, n: int) -> List[FrozenSet[Tuple[int, ...]]]:

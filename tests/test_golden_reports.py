@@ -5,12 +5,14 @@ golden_reports.json maps "d/index" (position in catalog_matrices(d))
 to the SHA-256 of canonical_json + render_text for the scenario
 (d, p = 0, tau).  It covers every d = 1 entry and every d = 2 entry
 that is not semistable; the semistable d = 2 entries run the witness
-scan and are left out to keep the suite fast.
+scan and are left out to keep the suite fast.  One more digest covers
+the non-semistable d = 3 entries and conjugates with large entries.
 """
 
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -18,10 +20,18 @@ from monodromy import (
     Scenario,
     build_report,
     canonical_json,
+    classify,
+    galois_criterion,
     render_text,
     scenario_from_dict,
 )
-from monodromy.catalog import catalog_matrices
+from monodromy.catalog import catalog_matrices, random_symplectic_conjugate
+
+# SHA-256 over canonical_json of every non-semistable catalog_matrices(3)
+# scenario at p = 0 in catalog order, each fifth one (from the first)
+# followed by a random_symplectic_conjugate drawn from random.Random(3)
+D3_COUNT = 1267
+D3_DIGEST = "370dc662df083b8b30ab118d97adb96729a05a9559a5a51eb9298c4b3da894f5"
 
 with open(os.path.join(os.path.dirname(__file__), "golden_reports.json"),
           encoding="utf-8") as fh:
@@ -57,3 +67,16 @@ def test_cached_generator_never_changes_a_report(key):
     fresh = scenario_from_dict(json.loads(json.dumps(scenario.to_json_dict())))
     assert fresh == scenario
     assert _bytes(fresh) == first
+
+
+def test_non_semistable_d3_reports_match_golden_digest():
+    rng = random.Random(3)
+    digest = hashlib.sha256()
+    taus = [tau for tau in catalog_matrices(3) if not galois_criterion(classify(tau))]
+    assert len(taus) == D3_COUNT
+    for i, tau in enumerate(taus):
+        digest.update(canonical_json(build_report(Scenario(3, 0, tau))).encode())
+        if i % 5 == 0:
+            conjugate = random_symplectic_conjugate(tau, rng)[0]
+            digest.update(canonical_json(build_report(Scenario(3, 0, conjugate))).encode())
+    assert digest.hexdigest() == D3_DIGEST

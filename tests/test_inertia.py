@@ -45,10 +45,11 @@ from monodromy.torsion import (
     extend_to_maximal_isotropic,
     fixed_subgroup,
     induced_pairing,
+    orthogonal_complement,
     standard_module,
 )
 
-from _oracles import brute_fixed_vectors, naive_power, split_fixed_vectors
+from _oracles import brute_fixed_vectors, naive_power, naive_product, split_fixed_vectors
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -126,6 +127,38 @@ class TestClassify:
             classify(IntMatrix([[1]]))
         with pytest.raises(NotSymplectic):
             classify(IntMatrix([[2, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_symplectic_form_broken_in_one_half(self, d):
+        # For symplectic tau, tau [[I, 0], [X, I]] carries the form
+        # J + [[X - X^T, 0], [0, 0]] and tau [[I, X], [0, I]] carries
+        # J + [[0, 0], [0, X^T - X]]: broken only in the top half or
+        # only in the bottom half, exactly when X is not symmetric (never
+        # at d = 1).  The reference is the product over the integers.
+        rng = random.Random(d)
+        j = [list(row) for row in standard_symplectic_form(d).data]
+        refused = 0
+        for base in catalog_matrices(d)[::97]:
+            tau = random_symplectic_conjugate(base, rng)[0]
+            for _ in range(4):
+                x = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+                lower = [[int(r == c) for c in range(2 * d)] for r in range(2 * d)]
+                upper = [row[:] for row in lower]
+                for r in range(d):
+                    for c in range(d):
+                        lower[d + r][c] = x[r][c]
+                        upper[r][d + c] = x[r][c]
+                for shear, intact in ((lower, slice(d, None)), (upper, slice(0, d))):
+                    broken = naive_product(tau.data, shear)
+                    form = naive_product(naive_product(list(zip(*broken)), j), broken)
+                    assert form[intact] == j[intact]
+                    if form == j:
+                        classify(IntMatrix(broken))
+                        continue
+                    refused += 1
+                    with pytest.raises(NotSymplectic):
+                        classify(IntMatrix(broken))
+        assert (refused > 0) == (d > 1)
 
     def test_not_quasi_unipotent(self):
         # determinant 1 but trace 3: eigenvalues off the unit circle
@@ -457,6 +490,31 @@ class TestGeneratorMemo:
         assert g.fixed_maximal_isotropic(2) == extend_to_maximal_isotropic(fix)
         assert g.fixed_maximal_isotropic(2) is g.fixed_maximal_isotropic(2)
         assert classify(ROT4).fixed_maximal_isotropic(5) is None
+
+    def test_fixed_perp_inside_has_one_home(self, monkeypatch):
+        # witness_exists and the fixed maximal isotropic subgroup read the
+        # one cached containment FIX-perp <= FIX per level
+        import monodromy.inertia as inertia
+
+        calls = []
+        real = inertia.orthogonal_complement
+        monkeypatch.setattr(inertia, "orthogonal_complement",
+                            lambda s: calls.append(s) or real(s))
+        g = classify(block_sum([MINUS, SHEAR]))
+        assert witness_exists(g, 2)
+        assert g.fixed_maximal_isotropic(2) is not None
+        assert witness_exists(g, 2) and g._fixed_perp_inside(2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fixed_perp_inside_matches_the_complement(self, d):
+        for tau in catalog_matrices(d)[::3]:
+            g = classify(tau)
+            for n in range(2, 8):
+                fix = fixed_subgroup(tau, standard_module(n, d))
+                expected = orthogonal_complement(fix).is_subgroup_of(fix)
+                assert witness_exists(g, n) == g._fixed_perp_inside(n) == expected
+                assert (g.fixed_maximal_isotropic(n) is not None) == expected
 
     def test_memo_is_invisible_to_equality_hash_and_repr(self):
         g = classify(ROT4, 3)

@@ -21,11 +21,14 @@ from monodromy import (
     standard_symplectic_form,
 )
 
+from monodromy.catalog import catalog_matrices, random_symplectic_conjugate
+
 from _oracles import (
     brute_kernel_vectors,
     determinant_divisor_snf,
     leibniz_char_poly,
     leibniz_det,
+    naive_howell_form,
     naive_power,
     naive_product,
     span_closure,
@@ -323,6 +326,33 @@ class TestSmithNormalForm:
             a = rnd_int_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), -6, 6)
             assert smith_normal_form(a).divisors == determinant_divisor_snf(a)
 
+    def test_gcd_steps_and_zero_lines(self):
+        # entries without units force extended-gcd steps and stained
+        # rows; zero rows and columns must end up last
+        rng = random.Random(43)
+        for trial in range(300):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            big = trial % 3 == 0
+            data = [[rng.choice((0, 2, 3, 4, 6, 9, 10, 15)) * rng.randint(-3, 3)
+                     * (rng.randint(1, 10**6) if big else 1) for _ in range(c)]
+                    for _ in range(r)]
+            if rng.random() < 0.3:
+                data[rng.randrange(r)] = [0] * c
+            if rng.random() < 0.3:
+                j = rng.randrange(c)
+                for row in data:
+                    row[j] = 0
+            a = IntMatrix(data)
+            s = smith_normal_form(a)
+            assert naive_product(naive_product(s.u.data, a.data), s.v.data) == s.d.to_lists()
+            assert abs(leibniz_det(s.u.data)) == 1 and abs(leibniz_det(s.v.data)) == 1
+            assert all(s.d.data[i][j] == 0 for i in range(r) for j in range(c) if i != j)
+            if not big and r <= 5 and c <= 5:
+                assert s.divisors == determinant_divisor_snf(a)
+            nz = s.nonzero_divisors
+            assert all(x > 0 for x in nz) and s.divisors[:len(nz)] == nz
+            assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
+
     def test_known_values(self):
         assert smith_normal_form(IntMatrix([[2, 4], [6, 8]])).divisors == (2, 4)
         assert smith_normal_form(IntMatrix([[1, 0], [0, 0]])).divisors == (1, 0)
@@ -371,6 +401,31 @@ class TestHowell:
                 else:
                     seen[span] = h
 
+    def test_matches_stacked_hermite_oracle_and_span(self):
+        # random generating sets at n <= 12 and c in {2, 4, 6}, with zero
+        # rows, rows of multiples of n and multiples of earlier rows
+        rng = random.Random(41)
+        for _ in range(600):
+            n = rng.randint(1, 12)
+            c = rng.choice((2, 4, 6))
+            rows = []
+            for _ in range(rng.randint(0, 7)):
+                kind = rng.random()
+                if kind < 0.15:
+                    rows.append([0] * c)
+                elif kind < 0.3:
+                    rows.append([n * rng.randint(-3, 3) for _ in range(c)])
+                elif kind < 0.45 and rows:
+                    k = rng.randint(-n, n)
+                    rows.append([k * x for x in rng.choice(rows)])
+                else:
+                    rows.append([rng.randint(-2 * n, 2 * n) for _ in range(c)])
+            a = ModMatrix(n, rows, c)
+            h = howell_form(a)
+            assert h == naive_howell_form(a)
+            if n**c <= 1296:
+                assert span_closure(h.data, c, n) == span_closure(a.data, c, n)
+
     def test_saturation_property(self):
         # mod 4, the row (2, 0) generates the same span as itself; the
         # span of (1, 0) strictly contains it and the forms differ
@@ -403,19 +458,36 @@ class TestCharPoly:
             a = rnd_int_matrix(rng, n, n, -5, 5)
             assert char_poly(a) == leibniz_char_poly(a)
 
+    def test_conjugated_catalog_with_large_entries(self):
+        # 6x6 finite-order and shear blocks conjugated until the entries
+        # reach about 10^6; the scalars I and -I are their own conjugates
+        rng = random.Random(47)
+        scalars = (IntMatrix.identity(6), -IntMatrix.identity(6))
+        for base in catalog_matrices(3)[1::150]:
+            assert base not in scalars
+            tau = base
+            while max(abs(x) for row in tau.data for x in row) < 10**5:
+                tau = random_symplectic_conjugate(tau, rng)[0]
+            assert char_poly(tau) == leibniz_char_poly(tau) == char_poly(base)
+
     def test_known_values(self):
         assert char_poly(IntMatrix([[0, -1], [1, -1]])).coeffs == (1, 1, 1)
         assert char_poly(IntMatrix([[0, -1], [1, 0]])).coeffs == (1, 0, 1)
         assert char_poly(IntMatrix.identity(2)).coeffs == (1, -2, 1)
 
     def test_cayley_hamilton_check_survives_optimize(self):
-        # A broken is_zero makes the final check fail; under python -O an
-        # assert statement would vanish, the explicit raise must not.
+        # Entries whose products are off by one keep the one division
+        # exact (the trace of the wrong product is 2) but break the final
+        # check; under python -O an assert statement would vanish, the
+        # explicit raise must not.
         code = (
             "import monodromy.matrices as m\n"
             "assert False, 'assert statements must be stripped here'\n"
-            "m.IntMatrix.is_zero = lambda self: False\n"
-            "m.char_poly(m.IntMatrix([[1, 1], [0, 1]]))\n"
+            "class Off(int):\n"
+            "    def __mul__(self, other):\n"
+            "        return int(self) * other + 1\n"
+            "a = m.IntMatrix._trusted(((Off(1), Off(1)), (Off(0), Off(1))))\n"
+            "m.char_poly(a)\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,

@@ -15,7 +15,7 @@ from monodromy import (
     verify_neron3,
     verify_neron4,
 )
-from monodromy.catalog import block_sum
+from monodromy.catalog import block_sum, catalog_matrices
 
 I2 = IntMatrix.identity(2)
 MINUS = IntMatrix([[-1, 0], [0, -1]])
@@ -67,6 +67,38 @@ class TestNeronInvariants:
         assert inv.phi == (3,)
         assert inv.phi_prime == ()
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_classified_generators_have_no_p_part(self, p):
+        # the order of tau kills the component group and classify
+        # requires it prime to p, so phi_prime is all of phi
+        accepted = 0
+        for d in (1, 2):
+            for tau in catalog_matrices(d, finite_only=True):
+                try:
+                    g = classify(tau, p)
+                except WildRamification:
+                    continue
+                accepted += 1
+                inv = neron_invariants(g)
+                assert inv.phi_prime == inv.phi
+        assert accepted > 0
+
+    def test_built_once_per_generator(self, monkeypatch):
+        import monodromy.neron as neron
+
+        built = []
+        real = neron._neron_invariants
+        monkeypatch.setattr(neron, "_neron_invariants",
+                            lambda g: built.append(g) or real(g))
+        g = classify(MIXED, 3)
+        first = neron_invariants(g)
+        neron_torsion(g, 2)
+        verify_neron4(g, "a")
+        assert neron_invariants(g) is first
+        assert built == [g]
+        assert neron_invariants(classify(MIXED, 3)) == first
+        assert len(built) == 2
+
     def test_phi_torsion_order(self):
         inv = neron_invariants(classify(MINUS, 3))
         assert inv.phi_torsion_order(2) == 4
@@ -74,8 +106,10 @@ class TestNeronInvariants:
         assert inv.phi_torsion_order(3) == 1
 
     def test_infinite_order_rejected(self):
-        with pytest.raises(NotPotentiallyGood):
-            neron_invariants(classify(SHEAR))
+        g = classify(SHEAR)
+        for _ in range(3):
+            with pytest.raises(NotPotentiallyGood):
+                neron_invariants(g)
 
     def test_reads_the_generator_smith_divisors(self, monkeypatch):
         import monodromy.inertia as inertia

@@ -17,7 +17,7 @@ from monodromy.neron import NeronInvariants, TorsionReport
 from monodromy.polynomials import IntPoly
 from monodromy.scenarios import HypothesisInstance, Scenario
 from monodromy.suites import SuiteReport
-from monodromy.torsion import Subgroup, induced_pairing
+from monodromy.torsion import Subgroup, TorsionModule, induced_pairing
 
 from _oracles import RECORD_DECLARATIONS, dataclass_twin
 
@@ -170,10 +170,14 @@ def test_copy_and_pickle_like_a_frozen_dataclass(name):
     ModMatrix(5, [], 4),
     standard_module(5, 2),
     induced_pairing(standard_module(7, 1), Polarization(2 * IntMatrix.identity(2))),
-], ids=["int", "int-row", "mod", "mod-zero-rows", "module", "module-gram"])
+    induced_pairing(standard_module(6, 1), Polarization(2 * IntMatrix.identity(2))),
+], ids=["int", "int-row", "mod", "mod-zero-rows", "module", "module-gram",
+        "module-degenerate"])
 def test_matrices_and_modules_copy_and_pickle(value):
     for clone in _clones(value):
         assert type(clone) is type(value) and clone == value
+        if isinstance(value, TorsionModule):
+            assert clone.is_nondegenerate() == value.is_nondegenerate()
         assert hash(clone) == hash(value) and repr(clone) == repr(value)
         assert all(getattr(clone, f) == getattr(value, f) for f in type(value).__slots__)
         with pytest.raises(AttributeError, match="immutable"):

@@ -30,6 +30,7 @@ from _oracles import (
     brute_fixed_vectors,
     brute_orthogonal,
     brute_subgroups,
+    leibniz_det,
     naive_extend_to_maximal_isotropic,
     span_closure,
     structure_from_counts,
@@ -473,6 +474,18 @@ class TestPolarization:
         m = standard_module(4, 1)
         degenerate = induced_pairing(m, Polarization.scalar(1, 2))
         assert not degenerate.is_nondegenerate()
+
+    def test_nondegeneracy_is_the_unit_determinant(self):
+        # read once per module; the reference is the Leibniz determinant.
+        # diag(A, A^T) keeps the induced form alternating, degree det(A)^2
+        for n in range(1, 13):
+            for k in range(1, 7):
+                pol = Polarization(IntMatrix([
+                    [k, 1, 0, 0], [0, 1, 0, 0], [0, 0, k, 0], [0, 0, 1, 1],
+                ]))
+                m = induced_pairing(standard_module(n, 2), pol)
+                expected = math.gcd(leibniz_det(m.gram.data), n) == 1
+                assert m.is_nondegenerate() == expected == (math.gcd(k, n) == 1)
 
     def test_induced_pairing_size_mismatch(self):
         with pytest.raises(TorsionError):
