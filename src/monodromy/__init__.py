@@ -28,7 +28,6 @@ _EXPORTS = {
         "SmithDecomposition",
         "char_poly",
         "exterior_power",
-        "hermite_normal_form",
         "howell_form",
         "is_unipotent",
         "kernel_mod_n",
@@ -61,8 +60,6 @@ _EXPORTS = {
         "fixed_subgroup",
         "fixes_pointwise",
         "induced_pairing",
-        "is_isotropic",
-        "is_maximal_isotropic",
         "orthogonal_complement",
         "standard_module",
     ),

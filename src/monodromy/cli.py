@@ -172,7 +172,7 @@ def _cmd_oracle_sweep(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     from .cohomology import higher_cohomology_criterion
-    from .reports import canonical_json
+    from .reports import _verdict_dict, canonical_json
     from .scenarios import load_scenario
 
     scenario = load_scenario(args.scenario)
@@ -180,13 +180,7 @@ def _cmd_cohomology(args) -> int:
     verdict = higher_cohomology_criterion(
         gen, args.k, args.n, strictly_henselian=scenario.strictly_henselian)
     if args.format == "json":
-        sys.stdout.write(canonical_json({
-            "id": verdict.criterion,
-            "hypothesis": verdict.hypothesis,
-            "conclusion": verdict.conclusion,
-            "agree": verdict.agree,
-            "citation": verdict.citation,
-        }))
+        sys.stdout.write(canonical_json(_verdict_dict(verdict)))
     else:
         print(f"{verdict.criterion}: reduction side {verdict.hypothesis}, "
               f"vanishing {verdict.conclusion}, agree {verdict.agree}")

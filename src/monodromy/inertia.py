@@ -105,8 +105,8 @@ class InertiaGenerator(Record):
     nilpotency index of tau - I when tau is unipotent, with the
     identity assigned index 0, and None otherwise.
 
-    Data that several criteria read off tau ((tau - I)^2, the Smith
-    form of tau - I, tau^e per exponent e, the fixed subgroup FIX, the
+    Data that several criteria read off tau (the Smith form of tau - I,
+    tau^e and (tau^e - I)^2 per exponent e, the fixed subgroup FIX, the
     containment FIX-perp <= FIX and the fixed maximal isotropic
     subgroup per level and polarization, and the Neron invariants) is
     computed on first use and kept in the instance __dict__.  It is not
@@ -143,13 +143,19 @@ class InertiaGenerator(Record):
             self._powers[e] = self.matrix**e
         return self._powers[e]
 
+    def square_after(self, e: int) -> IntMatrix:
+        """(tau^e - I)^2 over Z, kept per exponent e."""
+        if e not in self._squares:
+            self._squares[e] = _square_of_displacement(self.power(e))
+        return self._squares[e]
+
     def module(self, n: int) -> TorsionModule:
         return standard_module(n, self.dimension)
 
-    @cached_property
+    @property
     def displacement_square(self) -> IntMatrix:
         """(tau - I)^2 over Z."""
-        return _square_of_displacement(self.matrix)
+        return self.square_after(1)
 
     @cached_property
     def _displacement_snf(self) -> SmithDecomposition:
@@ -168,6 +174,10 @@ class InertiaGenerator(Record):
 
     @cached_property
     def _powers(self) -> Dict[int, IntMatrix]:
+        return {}
+
+    @cached_property
+    def _squares(self) -> Dict[int, IntMatrix]:
         return {}
 
     @cached_property
@@ -289,7 +299,8 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
     m = math.lcm(*factors.keys())
     ident = IntMatrix.identity(matrix.rows)
     power_m = matrix**m
-    if ((power_m - ident) ** 2) != IntMatrix.zeros(matrix.rows, matrix.rows):
+    square = _square_of_displacement(power_m)
+    if square != IntMatrix.zeros(matrix.rows, matrix.rows):
         raise NotPotentiallySemistable(
             f"(tau^{m} - I)^2 != 0: unipotent part has nilpotency index above 2"
         )
@@ -317,6 +328,7 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
         potentially_good=(power_m == ident),
     )
     gen._powers[m] = power_m
+    gen._squares[m] = square
     return gen
 
 
@@ -369,7 +381,7 @@ def semistable_after_extension(gen: InertiaGenerator, e: int) -> bool:
     """
     if e < 1:
         raise InertiaError("extension degree must be >= 1")
-    return _square_of_displacement(gen.power(e)).is_zero()
+    return gen.square_after(e).is_zero()
 
 
 def minimal_semistable_degree(gen: InertiaGenerator) -> int:

@@ -6,11 +6,11 @@ forms here are the load-bearing primitives for everything else:
 
 * Smith normal form over Z with unimodular transforms and a fixed
   pivoting rule, so outputs are deterministic and testable.
-* Row Hermite normal form over Z, and the Howell form over Z/nZ: the
-  Howell form of a row span is the mod-n reduction of the Hermite form
-  of the lattice spanned by the rows and n*Z^c.  That makes the Howell
-  form canonical: two generating sets span the same submodule of
-  (Z/nZ)^c exactly when their forms are identical.
+* The Howell form over Z/nZ: the Howell form of a row span is the
+  mod-n reduction of the row Hermite form of the lattice spanned by the
+  rows and n*Z^c.  That makes the Howell form canonical: two
+  generating sets span the same submodule of (Z/nZ)^c exactly when
+  their forms are identical.
 """
 
 from __future__ import annotations
@@ -119,11 +119,6 @@ class IntMatrix:
         if rows < 1 or cols < 1:
             raise DimensionError("IntMatrix dimensions must be positive")
         return IntMatrix._trusted(((0,) * cols,) * rows)
-
-    @staticmethod
-    def from_diag(entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        return IntMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def is_square(self) -> bool:
@@ -306,13 +301,6 @@ class ModMatrix:
             n,
         )
 
-    @staticmethod
-    def zeros(rows: int, cols: int, modulus: int) -> "ModMatrix":
-        rows, cols = _entry(rows, _SIZE), _entry(cols, _SIZE)
-        if rows < 0:
-            raise DimensionError("row count must be >= 0")
-        return ModMatrix(modulus, [[0] * cols for _ in range(rows)], cols)
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -345,21 +333,11 @@ class ModMatrix:
     def __hash__(self) -> int:
         return hash(("ModMatrix", self.modulus, self.cols, self.data))
 
-    def _same(self, other: "ModMatrix") -> None:
+    def __sub__(self, other: "ModMatrix") -> "ModMatrix":
         if self.modulus != other.modulus:
             raise MatrixError("modulus mismatch")
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("shape mismatch")
-
-    def __add__(self, other: "ModMatrix") -> "ModMatrix":
-        self._same(other)
-        n = self.modulus
-        return ModMatrix._trusted(n, tuple(
-            tuple((a + b) % n for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
-        ), self.cols)
-
-    def __sub__(self, other: "ModMatrix") -> "ModMatrix":
-        self._same(other)
         n = self.modulus
         return ModMatrix._trusted(n, tuple(
             tuple((a - b) % n for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
@@ -370,16 +348,6 @@ class ModMatrix:
         return ModMatrix._trusted(
             n, tuple(tuple(-a % n for a in row) for row in self.data), self.cols
         )
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        n = self.modulus
-        return ModMatrix._trusted(
-            n, tuple(tuple(a * scalar % n for a in row) for row in self.data), self.cols
-        )
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
         if not isinstance(other, ModMatrix):
@@ -399,7 +367,7 @@ class ModMatrix:
         if not self.is_square:
             raise DimensionError("powers need a square matrix")
         if e < 0:
-            return self.inverse() ** (-e)
+            raise MatrixError("negative powers of a ModMatrix are not supported")
         if e == 0:
             return ModMatrix.identity(self.rows, self.modulus)
         return _power(self, e)
@@ -408,17 +376,6 @@ class ModMatrix:
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
         return _det_bareiss(self.data) % self.modulus
-
-    def inverse(self) -> "ModMatrix":
-        if not self.is_square:
-            raise DimensionError("inverse needs a square matrix")
-        n = self.modulus
-        d = _det_bareiss(self.data) % n
-        if math.gcd(d, n) != 1:
-            raise SingularMatrixError(f"determinant {d} is not a unit mod {n}")
-        inv_d = pow(d, -1, n)
-        adj = self.lift().adjugate()
-        return ModMatrix(n, [[x * inv_d for x in row] for row in adj.data], self.cols)
 
     def __repr__(self) -> str:
         return f"ModMatrix({self.modulus}, {self.to_lists()!r})"
@@ -488,14 +445,6 @@ class SmithDecomposition(Record):
     @property
     def divisors(self) -> Tuple[int, ...]:
         return tuple(self.d.data[i][i] for i in range(min(self.d.rows, self.d.cols)))
-
-    @property
-    def nonzero_divisors(self) -> Tuple[int, ...]:
-        return tuple(x for x in self.divisors if x != 0)
-
-    @property
-    def rank(self) -> int:
-        return len(self.nonzero_divisors)
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -587,58 +536,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         IntMatrix._trusted(tuple(map(tuple, m))),
         IntMatrix._trusted(tuple(zip(*vt))),
     )
-
-
-def _hnf_rows(rows: List[List[int]], cols: int) -> List[List[int]]:
-    """Row Hermite normal form; returns only the nonzero rows.
-
-    Pivots are positive, pivot columns strictly increase, and entries
-    above each pivot are reduced into [0, pivot).
-    """
-    work = [list(r) for r in rows]
-    m = len(work)
-    pr = 0
-    for j in range(cols):
-        while True:
-            nz = [i for i in range(pr, m) if work[i][j] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(work[i][j]), i))
-            if i0 != pr:
-                work[pr], work[i0] = work[i0], work[pr]
-            p = work[pr][j]
-            clean = True
-            for i in range(pr + 1, m):
-                if work[i][j]:
-                    q = work[i][j] // p
-                    if q:
-                        work[i] = [x - q * y for x, y in zip(work[i], work[pr])]
-                    if work[i][j]:
-                        clean = False
-            if clean:
-                break
-        if pr < m and work[pr][j] != 0:
-            if work[pr][j] < 0:
-                work[pr] = [-x for x in work[pr]]
-            p = work[pr][j]
-            for i in range(pr):
-                q = work[i][j] // p
-                if q:
-                    work[i] = [x - q * y for x, y in zip(work[i], work[pr])]
-            pr += 1
-    return work[:pr]
-
-
-def hermite_normal_form(a: IntMatrix) -> IntMatrix:
-    """Row Hermite normal form of a; zero rows are dropped.
-
-    Raises MatrixError when the row space is trivial, since IntMatrix
-    cannot represent an empty matrix.
-    """
-    rows = _hnf_rows(a.to_lists(), a.cols)
-    if not rows:
-        raise MatrixError("zero row space has no IntMatrix Hermite form")
-    return IntMatrix(rows)
 
 
 def _lattice_basis(n: int, cols: int, rows: Iterable[Sequence[int]]) -> List[List[int]]:

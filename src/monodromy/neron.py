@@ -66,10 +66,6 @@ class NeronInvariants(Record):
         put(self, "phi", phi)
         put(self, "phi_prime", phi_prime)
 
-    @property
-    def component_group_order(self) -> int:
-        return math.prod(self.phi)
-
     def phi_torsion_order(self, n: int) -> int:
         """#Phi[n], the n-torsion of the component group."""
         return math.prod(math.gcd(q, n) for q in self.phi)

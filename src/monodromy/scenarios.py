@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from ._record import Record
 from .cyclotomic import is_prime
 from .inertia import InertiaGenerator, classify
-from .matrices import IntMatrix
+from .matrices import IntMatrix, standard_symplectic_form
 from .torsion import (
     Polarization,
     Subgroup,
@@ -141,6 +141,12 @@ def scenario_from_dict(obj: Dict) -> Scenario:
         if mat.det() == 0:
             raise ScenarioError("field 'polarization' must be nonsingular, "
                                 "but its determinant is 0")
+        # the pairing it induces at every level is J P mod n; over Z,
+        # antisymmetry alone forces the zero diagonal
+        riemann = standard_symplectic_form(d) @ mat
+        if riemann.transpose() != -riemann:
+            raise ScenarioError("field 'polarization' must induce an alternating form: "
+                                "J P must be antisymmetric, J the standard symplectic form")
         pol = Polarization(mat)
     level = None
     if "n" in obj:
@@ -189,15 +195,6 @@ class HypothesisInstance(Record):
         put(self, "conjugator_inverse", conjugator_inverse)
         put(self, "residue_char", residue_char)
         put(self, "witness", witness)
-
-    def generator(self) -> InertiaGenerator:
-        return classify(self.matrix, self.residue_char)
-
-    def scenario(self, seed: int = 0) -> Scenario:
-        return Scenario(
-            self.matrix.rows // 2, self.residue_char, self.matrix,
-            level=self.level, seed=seed,
-        )
 
 
 @lru_cache(maxsize=None)

@@ -259,23 +259,15 @@ def _in_span(h: ModMatrix, pivots: Sequence[Tuple[int, int]],
 
 @lru_cache(maxsize=None)
 def _structure(level: int, rank: int, gens: ModMatrix) -> Tuple[int, ...]:
-    # Full-rank integer basis of the preimage lattice L with nZ^c <= L,
-    # then L / nZ^c has invariant factors given by the Smith form of
-    # n * H^{-1}, which is integral exactly because nZ^c <= L.
+    # The preimage lattice L of the span has a basis H with U H V = D,
+    # so L V = (+) e_i Z for the Smith divisors e_i of H, while V keeps
+    # nZ^c in place.  As nZ^c <= L, every e_i divides n, and
+    # L / nZ^c is the sum of the cyclic groups Z/(n/e_i).
     h = IntMatrix._trusted(tuple(map(tuple, _lattice_basis(level, rank, gens.data))))
-    det = h.det()
-    adj = h.adjugate()
-    c_rows = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            num = level * adj.data[i][j]
-            if num % det:
-                raise AssertionError("preimage lattice must contain n Z^c")
-            row.append(num // det)
-        c_rows.append(row)
-    snf = smith_normal_form(IntMatrix(c_rows))
-    return tuple(s for s in snf.divisors if s > 1)
+    divisors = smith_normal_form(h).divisors
+    if any(level % e for e in divisors):
+        raise AssertionError("preimage lattice must contain n Z^c")
+    return tuple(sorted(level // e for e in divisors if level // e > 1))
 
 
 class Polarization(Record):
@@ -326,23 +318,6 @@ def _complement_gens(gram: ModMatrix, gens: ModMatrix) -> ModMatrix:
 def orthogonal_complement(s: Subgroup) -> Subgroup:
     """{y : <x, y> = 0 for all x in s}, in canonical form."""
     return Subgroup(s.module, _complement_gens(s.module.gram, s.gens))
-
-
-def is_isotropic(s: Subgroup) -> bool:
-    """Whether the pairing vanishes on s x s."""
-    comp = orthogonal_complement(s)
-    return s.is_subgroup_of(comp)
-
-
-def is_maximal_isotropic(s: Subgroup) -> bool:
-    """Whether s equals its own orthogonal complement.
-
-    Needs a nondegenerate pairing; for degenerate forms maximality is
-    not characterized by self-orthogonality.
-    """
-    if not s.module.is_nondegenerate():
-        raise DegeneratePairingError("maximality test needs a nondegenerate pairing")
-    return s == orthogonal_complement(s)
 
 
 def fixed_subgroup(action: Union[IntMatrix, ModMatrix], module: TorsionModule) -> Subgroup:

@@ -11,7 +11,15 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from monodromy import IntMatrix, IntPoly, ModMatrix, TorsionError, hermite_normal_form
+from monodromy import (
+    DegeneratePairingError,
+    IntMatrix,
+    IntPoly,
+    MatrixError,
+    ModMatrix,
+    TorsionError,
+    orthogonal_complement,
+)
 
 
 def leibniz_det(rows: Sequence[Sequence[int]]) -> int:
@@ -183,6 +191,58 @@ def span_closure(
     return frozenset(seen)
 
 
+def _hnf_rows(rows: List[List[int]], cols: int) -> List[List[int]]:
+    """Row Hermite normal form; returns only the nonzero rows.
+
+    Pivots are positive, pivot columns strictly increase, and entries
+    above each pivot are reduced into [0, pivot).
+    """
+    work = [list(r) for r in rows]
+    m = len(work)
+    pr = 0
+    for j in range(cols):
+        while True:
+            nz = [i for i in range(pr, m) if work[i][j] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(work[i][j]), i))
+            if i0 != pr:
+                work[pr], work[i0] = work[i0], work[pr]
+            p = work[pr][j]
+            clean = True
+            for i in range(pr + 1, m):
+                if work[i][j]:
+                    q = work[i][j] // p
+                    if q:
+                        work[i] = [x - q * y for x, y in zip(work[i], work[pr])]
+                    if work[i][j]:
+                        clean = False
+            if clean:
+                break
+        if pr < m and work[pr][j] != 0:
+            if work[pr][j] < 0:
+                work[pr] = [-x for x in work[pr]]
+            p = work[pr][j]
+            for i in range(pr):
+                q = work[i][j] // p
+                if q:
+                    work[i] = [x - q * y for x, y in zip(work[i], work[pr])]
+            pr += 1
+    return work[:pr]
+
+
+def hermite_normal_form(a: IntMatrix) -> IntMatrix:
+    """Row Hermite normal form of a; zero rows are dropped.
+
+    Raises MatrixError when the row space is trivial, since IntMatrix
+    cannot represent an empty matrix.
+    """
+    rows = _hnf_rows(a.to_lists(), a.cols)
+    if not rows:
+        raise MatrixError("zero row space has no IntMatrix Hermite form")
+    return IntMatrix(rows)
+
+
 def naive_howell_form(a: ModMatrix) -> ModMatrix:
     """Howell form as the Hermite form of the rows stacked over n*I,
     reduced mod n with vanishing rows dropped."""
@@ -334,6 +394,23 @@ def naive_semistability_degree(k: int, n: int, bound: int):
         if all(c % n == 0 for c in rem):
             admissible.append(order)
     return tuple(admissible), math.lcm(*admissible)
+
+
+def is_isotropic(s) -> bool:
+    """Whether the pairing vanishes on s x s."""
+    comp = orthogonal_complement(s)
+    return s.is_subgroup_of(comp)
+
+
+def is_maximal_isotropic(s) -> bool:
+    """Whether s equals its own orthogonal complement.
+
+    Needs a nondegenerate pairing; for degenerate forms maximality is
+    not characterized by self-orthogonality.
+    """
+    if not s.module.is_nondegenerate():
+        raise DegeneratePairingError("maximality test needs a nondegenerate pairing")
+    return s == orthogonal_complement(s)
 
 
 def naive_extend_to_maximal_isotropic(s):

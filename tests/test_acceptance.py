@@ -174,7 +174,7 @@ def test_criterion_07_neron_fixed_point_batteries():
         ("neron4b", 250, lambda g: verify_neron4(g, "b")),
     ):
         for inst in generate_hypothesis_instances(family, count, 3, seed=11):
-            gen = inst.generator()
+            gen = classify(inst.matrix, inst.residue_char)
             for v in runner(gen):
                 if not v.agree:
                     failures.append((family, v.criterion))

@@ -109,6 +109,20 @@ class TestAnalyze:
         assert captured.err.startswith("error: field 'polarization' must be nonsingular")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["analyze"], ["analyze", "--n", "4"],
+                                         ["cohomology", "--k", "1", "--n", "5"]])
+    def test_non_alternating_polarization(self, scenario_path, capsys, command):
+        # J P = -2I is nonsingular but not alternating: refused when the
+        # file is read, before any level sees the induced form
+        path = scenario_path({"d": 1, "p": 0, "tau": [[1, 0], [0, 1]], "seed": 0,
+                              "polarization": [[0, 2], [-2, 0]]})
+        assert main([command[0], path] + command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: field 'polarization' must induce an alternating form")
+        assert captured.err.count("\n") == 1
+
     def test_wild_scenario(self, scenario_path, capsys):
         path = scenario_path({"d": 1, "p": 2, "tau": [[-1, 0], [0, -1]], "seed": 0})
         assert main(["analyze", path]) == 2

@@ -10,6 +10,7 @@ from monodromy import (
     Scenario,
     ScenarioError,
     WildRamification,
+    classify,
     generate_hypothesis_instances,
     load_scenario,
     scenario_from_dict,
@@ -82,11 +83,22 @@ class TestScenarioParsing:
             (minimal(p=2**64 + 13), "field 'p' must be 0 or a prime below 2\\*\\*64"),
             (minimal(polarization=[[0, 0], [0, 0]]), "field 'polarization' must be nonsingular"),
             (minimal(polarization=[[1, 2], [2, 4]]), "field 'polarization' must be nonsingular"),
+            (minimal(polarization=[[0, 2], [-2, 0]]),
+             "field 'polarization' must induce an alternating form"),
+            (minimal(polarization=[[1, 1], [0, 1]]),
+             "field 'polarization' must induce an alternating form"),
         ],
     )
     def test_rejects_with_named_field(self, obj, fragment):
         with pytest.raises(ScenarioError, match=fragment):
             scenario_from_dict(obj)
+
+    def test_non_scalar_polarization_accepted(self):
+        # type (1, 2) at d = 2: J P = [[0, D], [-D, 0]] with D = diag(1, 2)
+        pol = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]
+        tau = [[int(i == j) for j in range(4)] for i in range(4)]
+        s = scenario_from_dict(minimal(d=2, tau=tau, polarization=pol))
+        assert s.polarization == Polarization(IntMatrix(pol))
 
     def test_large_prime_accepted(self):
         assert scenario_from_dict(minimal(p=2**61 - 1)).residue_char == 2**61 - 1
@@ -134,7 +146,7 @@ class TestHypothesisInstances:
             assert inst.conjugator @ inst.conjugator_inverse == IntMatrix.identity(
                 inst.matrix.rows
             )
-            gen = inst.generator()
+            gen = classify(inst.matrix, inst.residue_char)
             assert gen.residue_char == inst.residue_char
             assert inst.witness is not None
             assert fixes_pointwise(
@@ -169,12 +181,3 @@ class TestHypothesisInstances:
     def test_unknown_family(self):
         with pytest.raises(ScenarioError, match="unknown instance family"):
             generate_hypothesis_instances("neron5", 1, 1, seed=0)
-
-    def test_instance_scenario(self):
-        inst = generate_hypothesis_instances("neron2", 1, 2, seed=3)[0]
-        s = inst.scenario(seed=4)
-        assert isinstance(s, Scenario)
-        assert s.tau == inst.matrix
-        assert s.level == inst.level
-        assert s.seed == 4
-        assert scenario_from_dict(s.to_json_dict()) == s

@@ -17,8 +17,6 @@ from monodromy import (
     fixed_subgroup,
     fixes_pointwise,
     induced_pairing,
-    is_isotropic,
-    is_maximal_isotropic,
     orthogonal_complement,
     standard_module,
     standard_symplectic_form,
@@ -30,6 +28,8 @@ from _oracles import (
     brute_fixed_vectors,
     brute_orthogonal,
     brute_subgroups,
+    is_isotropic,
+    is_maximal_isotropic,
     leibniz_det,
     naive_extend_to_maximal_isotropic,
     span_closure,
@@ -216,6 +216,24 @@ class TestSubgroup:
                 s = m.subgroup(gens)
                 members = span_closure(gens, 2, n)
                 assert s.structure == structure_from_counts(members, n)
+        # composite levels up to rank 6, with zero rows and rows of
+        # multiples of n among the random generators
+        for n, d in ((4, 2), (6, 2), (8, 2), (9, 2), (10, 1), (12, 1), (4, 3)):
+            m = standard_module(n, d)
+            for _ in range(8):
+                gens = []
+                for _ in range(rng.randrange(0, 5)):
+                    kind = rng.random()
+                    if kind < 0.15:
+                        gens.append([0] * m.rank)
+                    elif kind < 0.3:
+                        gens.append([n * rng.randint(-2, 2) for _ in range(m.rank)])
+                    else:
+                        gens.append([rng.randrange(-n, 2 * n) for _ in range(m.rank)])
+                s = m.subgroup(gens)
+                members = span_closure(gens, m.rank, n)
+                assert s.order == len(members)
+                assert s.structure == structure_from_counts(members, n)
 
     def test_apply(self):
         m = standard_module(5, 1)
@@ -340,7 +358,9 @@ class TestDualAction:
                 [0, 0, 0, 1],
             ],
         )
-        astar = a.transpose().inverse()
+        # a is unimodular over Z, so its inverse there reduces to the
+        # inverse mod 5
+        astar = a.lift().transpose().inverse_unimodular().reduce_mod(5)
         rng = random.Random(7)
         for _ in range(25):
             x = tuple(rng.randrange(5) for _ in range(4))
@@ -357,8 +377,12 @@ class TestDualAction:
             ) % 5
 
     def test_involutive(self):
-        a = ModMatrix(7, [[2, 1], [1, 1]])
-        assert a.transpose().inverse().transpose().inverse() == a
+        a = IntMatrix([[2, 1], [1, 1]])
+
+        def dual(m):
+            return m.transpose().inverse_unimodular()
+
+        assert dual(dual(a)) == a
 
 
 class TestEnumeration:
