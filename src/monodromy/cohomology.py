@@ -55,13 +55,13 @@ def cohomology_action(gen: InertiaGenerator, k: int, n: int = 0) -> CohomologyAc
     exterior powers.
 
     Raises:
-      ValueError: k outside 0..2d.
+      InertiaError: k outside 0..2d, or n < 0.
       WildRamification: n > 0 sharing a factor with the residue char.
     """
     if k < 0 or k > gen.rank:
-        raise ValueError(f"degree {k} outside 0..{gen.rank}")
+        raise InertiaError(f"degree {k} outside 0..{gen.rank}")
     if n < 0:
-        raise ValueError("modulus must be >= 0")
+        raise InertiaError("modulus must be >= 0")
     if n > 0:
         require_tame(gen.residue_char, n)
     base_z = gen.matrix.transpose().inverse_unimodular()
@@ -77,10 +77,10 @@ def hk_vanishing(gen: InertiaGenerator, k: int, n: int) -> bool:
     degree-k cohomology action.
 
     Raises:
-      ValueError: k outside the open range 0 < k < 2d.
+      InertiaError: k outside the open range 0 < k < 2d.
     """
     if not 0 < k < gen.rank:
-        raise ValueError(f"degree must satisfy 0 < k < {gen.rank}")
+        raise InertiaError(f"degree must satisfy 0 < k < {gen.rank}")
     action = cohomology_action(gen, k, n)
     a = action.matrix
     if isinstance(a, ModMatrix):
@@ -104,13 +104,14 @@ def higher_cohomology_criterion(
     tau = I or tau = -I, and that collapse is asserted.
 
     Raises:
+      InertiaError: k outside 0 < k < 2d, or n < 2.
       PreconditionExcluded: n is an exceptional level for k + 1.
       HypothesisNotMet: even k at residue characteristic 2 without the
         strictly henselian flag.
       WildRamification: n shares a factor with the residue char.
     """
     if not 0 < k < gen.rank:
-        raise ValueError(f"degree must satisfy 0 < k < {gen.rank}")
+        raise InertiaError(f"degree must satisfy 0 < k < {gen.rank}")
     if n < 2:
         raise InertiaError("level must be >= 2")
     if n in exceptional_prime_powers(k + 1):

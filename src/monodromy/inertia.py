@@ -27,6 +27,7 @@ from .matrices import (
     IntMatrix,
     ModMatrix,
     SmithDecomposition,
+    _smith_kernel_gens,
     char_poly,
     howell_form,
     is_unipotent,
@@ -167,6 +168,12 @@ class InertiaGenerator(Record):
         """Smith divisors of tau - I over Z, zeros last."""
         return self._displacement_snf.divisors
 
+    def fixed_structure(self, n: int) -> Tuple[int, ...]:
+        """Invariant factors of the fixed n-torsion, trivial ones
+        omitted: d_i kills Z/gcd(d_i, n) of Z/n, and as d_i | d_(i+1)
+        with zeros last, the factors come sorted."""
+        return tuple(g for g in (math.gcd(d, n) for d in self.displacement_divisors) if g > 1)
+
     def fixes_all_torsion(self, m: int) -> bool:
         """Whether tau fixes every m-torsion point, that is tau = I mod
         m: m divides every Smith divisor of tau - I."""
@@ -197,12 +204,11 @@ class InertiaGenerator(Record):
         carrying the pairing induced by pol (the standard one when pol
         is None).
 
-        Read off the one Smith form U (tau - I) V = D: with x = V y,
-        (tau - I) x = 0 mod n iff d_i y_i = 0 mod n for every i, so the
-        kernel is spanned by column i of V times n / gcd(d_i, n) (times
-        1 when d_i = 0).  Its Howell form is canonical, so the subgroup
-        equals the one a fresh kernel computation mod n gives.  Every
-        generator is checked against tau in every interpreter mode.
+        Read off the one Smith form of tau - I (see
+        matrices._smith_kernel_gens).  Its Howell form is canonical, so
+        the subgroup equals the one a fresh kernel computation mod n
+        gives.  Every generator is checked against tau in every
+        interpreter mode.
         """
         key = (n, pol)
         if key not in self._fixed:
@@ -216,20 +222,14 @@ class InertiaGenerator(Record):
         return self._fixed[key]
 
     def _fixed_gens(self, n: int) -> ModMatrix:
-        snf = self._displacement_snf
-        v = snf.v.data
-        gens = []
-        for i, d in enumerate(snf.divisors):
-            scale = n // math.gcd(d, n)
-            if scale % n:
-                gens.append(tuple(row[i] * scale % n for row in v))
+        gens = _smith_kernel_gens(self._displacement_snf, n)
         mul = operator.mul
         for g in gens:
             if any((sum(map(mul, row, g)) - x) % n for row, x in zip(self.matrix.data, g)):
                 raise AssertionError(
                     f"Smith generator {list(g)} is not fixed by tau mod {n}"
                 )
-        return howell_form(ModMatrix._trusted(n, tuple(gens), self.rank))
+        return howell_form(ModMatrix._trusted(n, gens, self.rank))
 
     def _fixed_perp_inside(self, n: int, pol: Optional[Polarization] = None) -> bool:
         """Whether FIX-perp <= FIX for the fixed subgroup FIX at level n
@@ -533,9 +533,7 @@ def quartic_semistability_check(gen: InertiaGenerator,
 
 
 def _fixed_has_element_of_order(gen: InertiaGenerator, r: int) -> bool:
-    fix = gen.fixed_at_level(r)
-    structure = fix.structure
-    return bool(structure) and structure[-1] % r == 0
+    return r in gen.fixed_structure(r)
 
 
 def _clause(name: str, allowed: bool, left, right, citation: str) -> Verdict:

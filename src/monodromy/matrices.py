@@ -617,6 +617,21 @@ def howell_pivots(h: ModMatrix) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
+def _smith_kernel_gens(snf: SmithDecomposition, n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Generators of {x : A x = 0 mod n} for U A V = D: with x = V y the
+    condition is d_i y_i = 0 mod n, so column i of V times
+    n / gcd(d_i, n), with d_i = 0 past the diagonal, reduced mod n; the
+    zero ones are dropped."""
+    divisors = snf.divisors
+    gens = []
+    for i, col in enumerate(zip(*snf.v.data)):
+        scale = n // math.gcd(divisors[i] if i < len(divisors) else 0, n)
+        g = tuple(x * scale % n for x in col)
+        if any(g):
+            gens.append(g)
+    return tuple(gens)
+
+
 def kernel_mod_n(a: ModMatrix) -> ModMatrix:
     """Howell-form generators of {x : a @ x == 0 over Z/nZ}.
 
@@ -624,20 +639,10 @@ def kernel_mod_n(a: ModMatrix) -> ModMatrix:
     (Z/nZ)^cols.
     """
     n, cols = a.modulus, a.cols
-    if a.rows == 0 or a.is_zero():
+    if a.rows == 0:
         return howell_form(ModMatrix.identity(cols, n))
-    snf = smith_normal_form(a.lift())
-    lim = min(a.rows, cols)
-    gens = []
-    for i in range(cols):
-        if i < lim:
-            g = n // math.gcd(snf.divisors[i], n)
-        else:
-            g = 1
-        if g % n == 0:
-            continue
-        gens.append([snf.v.data[r][i] * g for r in range(cols)])
-    return howell_form(ModMatrix(n, gens, cols))
+    gens = _smith_kernel_gens(smith_normal_form(a.lift()), n)
+    return howell_form(ModMatrix._trusted(n, gens, cols))
 
 
 def char_poly(a: IntMatrix) -> IntPoly:

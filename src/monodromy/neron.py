@@ -164,7 +164,7 @@ def neron_torsion(gen: InertiaGenerator, n: int) -> TorsionReport:
             exponent, power = exponent + 1, power * n
         if power == fix.order:
             b = exponent
-    return TorsionReport(n, fix.order, fix.structure, phi_n, b)
+    return TorsionReport(n, fix.order, gen.fixed_structure(n), phi_n, b)
 
 
 def _is_elementary_abelian(structure: Tuple[int, ...], q: int) -> bool:

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 from .inertia import (
     DegreeObstruction,
     HypothesisNotMet,
+    InertiaError,
     InertiaGenerator,
     Verdict,
     WildRamification,
@@ -65,11 +66,16 @@ def build_report(scenario: Scenario, level: Optional[int] = None) -> Dict:
     level overrides the scenario's stored level for the level-bound
     criteria; batteries whose entry hypotheses fail are left out rather
     than reported as errors.
+
+    Raises:
+      InertiaError: a level below 2.
     """
     gen = scenario.generator()
     pol = scenario.polarization
     if level is None:
         level = scenario.level
+    if level is not None and level < 2:
+        raise InertiaError("level must be >= 2")
     criterion_level = level if level is not None else _default_criterion_level(gen)
 
     report: Dict = {
@@ -85,7 +91,6 @@ def build_report(scenario: Scenario, level: Optional[int] = None) -> Dict:
         "verdicts": [],
     }
 
-    inv = None
     if gen.potentially_good:
         inv = neron_invariants(gen)
         report["a"] = inv.abelian_rank
@@ -97,17 +102,15 @@ def build_report(scenario: Scenario, level: Optional[int] = None) -> Dict:
     p = gen.residue_char
     torsion_levels = sorted({2, 3, 4} | ({level} if level else set()))
     for n in torsion_levels:
-        if n < 2 or not is_tame(p, n):
+        if not is_tame(p, n):
             continue
         if gen.potentially_good:
-            snapshot = neron_torsion(gen, n)
-            fixed_order, structure = snapshot.fixed_order, snapshot.fixed_structure
+            fixed_order = neron_torsion(gen, n).fixed_order
         else:
-            fix = gen.fixed_at_level(n)
-            fixed_order, structure = fix.order, fix.structure
+            fixed_order = gen.fixed_at_level(n).order
         report["torsion"][str(n)] = {
             "fixed_order": fixed_order,
-            "structure": list(structure),
+            "structure": list(gen.fixed_structure(n)),
         }
 
     verdicts: List[Verdict] = []
@@ -115,7 +118,7 @@ def build_report(scenario: Scenario, level: Optional[int] = None) -> Dict:
     for m in (3, 4):
         if is_tame(p, m):
             verdicts.append(raynaud_criterion(gen, m))
-    if criterion_level >= 2 and is_tame(p, criterion_level):
+    if is_tame(p, criterion_level):
         try:
             verdicts.append(level_structure_criterion(gen, criterion_level, pol))
         except _GATES:

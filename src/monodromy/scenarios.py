@@ -22,15 +22,7 @@ from ._record import Record
 from .cyclotomic import is_prime
 from .inertia import InertiaGenerator, classify
 from .matrices import IntMatrix, standard_symplectic_form
-from .torsion import (
-    Polarization,
-    Subgroup,
-    extend_to_maximal_isotropic,
-    fixed_subgroup,
-    fixes_pointwise,
-    orthogonal_complement,
-    standard_module,
-)
+from .torsion import Polarization, Subgroup, fixes_pointwise
 
 
 class ScenarioError(ValueError):
@@ -150,7 +142,7 @@ def scenario_from_dict(obj: Dict) -> Scenario:
         pol = Polarization(mat)
     level = None
     if "n" in obj:
-        level = _require_int(obj, "n", 1)
+        level = _require_int(obj, "n", 2)
     henselian = False
     if "flags" in obj:
         flags = obj["flags"]
@@ -232,12 +224,6 @@ def _families() -> Dict[str, Tuple[int, Tuple[IntMatrix, ...], Tuple[int, ...]]]
     }
 
 
-def _block_fixes_maximal_isotropic(block: IntMatrix, n: int) -> bool:
-    module = standard_module(n, block.rows // 2)
-    fix = fixed_subgroup(block, module)
-    return orthogonal_complement(fix).is_subgroup_of(fix)
-
-
 def _verified_blocks(family: str) -> Tuple[int, Tuple[IntMatrix, ...], Tuple[int, ...]]:
     families = _families()
     if family not in families:
@@ -246,7 +232,7 @@ def _verified_blocks(family: str) -> Tuple[int, Tuple[IntMatrix, ...], Tuple[int
         )
     level, blocks, chars = families[family]
     for b in blocks:
-        if not _block_fixes_maximal_isotropic(b, level):
+        if classify(b).fixed_maximal_isotropic(level) is None:
             raise AssertionError(
                 f"{family} block {b.to_lists()} fixes no maximal isotropic "
                 f"subgroup at level {level}"
@@ -281,14 +267,12 @@ def generate_hypothesis_instances(
         chosen = [blocks[rng.randrange(len(blocks))] for _ in range(d)]
         base = block_sum(chosen)
         p = chars[rng.randrange(len(chars))]
-        module = standard_module(level, d)
-        fix = fixed_subgroup(base, module)
-        if not orthogonal_complement(fix).is_subgroup_of(fix):
+        witness_base = classify(base).fixed_maximal_isotropic(level)
+        if witness_base is None:
             raise AssertionError(
                 f"{family} base {base.to_lists()} fixes no maximal isotropic "
                 f"subgroup at level {level}"
             )
-        witness_base = extend_to_maximal_isotropic(fix)
         matrix, u, u_inv = random_symplectic_conjugate(base, rng)
         witness = witness_base.apply(u.reduce_mod(level))
         if not fixes_pointwise(matrix.reduce_mod(level), witness):

@@ -23,11 +23,9 @@ from .matrices import (
     MatrixError,
     ModMatrix,
     _entry,
-    _lattice_basis,
     howell_form,
     howell_pivots,
     kernel_mod_n,
-    smith_normal_form,
     standard_symplectic_form,
 )
 from .polynomials import divisors
@@ -126,9 +124,6 @@ class TorsionModule:
         gens = ModMatrix(self.level, generators, self.rank)
         return Subgroup(self, howell_form(gens))
 
-    def trivial_subgroup(self) -> "Subgroup":
-        return self.subgroup([])
-
     def full_subgroup(self) -> "Subgroup":
         return self.subgroup(ModMatrix.identity(self.rank, self.level).data)
 
@@ -164,15 +159,6 @@ class Subgroup(Record):
         for _, p in howell_pivots(self.gens):
             out *= n // p
         return out
-
-    def contains(self, x) -> bool:
-        """Whether x lies in the subgroup, by reduction against the
-        Howell rows (see _in_span)."""
-        n = self.module.level
-        vec = tuple(_integer(v, "vector entries must be integers") % n for v in x)
-        if len(vec) != self.module.rank:
-            raise TorsionError("vector length does not match the module rank")
-        return _in_span(self.gens, howell_pivots(self.gens), vec)
 
     def is_subgroup_of(self, other: "Subgroup") -> bool:
         """Whether self <= other: each of self's Howell rows reduces to
@@ -214,11 +200,6 @@ class Subgroup(Record):
 
         return walk(0, (0,) * self.module.rank)
 
-    @property
-    def structure(self) -> Tuple[int, ...]:
-        """Invariant factors (s_1 | s_2 | ...), omitting trivial ones."""
-        return _structure(self.module.level, self.module.rank, self.gens)
-
     def apply(self, a: ModMatrix) -> "Subgroup":
         """Image under x -> a x (generators transform by right
         multiplication with a^T)."""
@@ -257,19 +238,6 @@ def _in_span(h: ModMatrix, pivots: Sequence[Tuple[int, int]],
     return not any(x[start:])
 
 
-@lru_cache(maxsize=None)
-def _structure(level: int, rank: int, gens: ModMatrix) -> Tuple[int, ...]:
-    # The preimage lattice L of the span has a basis H with U H V = D,
-    # so L V = (+) e_i Z for the Smith divisors e_i of H, while V keeps
-    # nZ^c in place.  As nZ^c <= L, every e_i divides n, and
-    # L / nZ^c is the sum of the cyclic groups Z/(n/e_i).
-    h = IntMatrix._trusted(tuple(map(tuple, _lattice_basis(level, rank, gens.data))))
-    divisors = smith_normal_form(h).divisors
-    if any(level % e for e in divisors):
-        raise AssertionError("preimage lattice must contain n Z^c")
-    return tuple(sorted(level // e for e in divisors if level // e > 1))
-
-
 class Polarization(Record):
     """Integer 2d x 2d matrix standing in for an isogeny to the dual."""
 
@@ -283,10 +251,6 @@ class Polarization(Record):
     @property
     def degree(self) -> int:
         return abs(self.matrix.det())
-
-    @staticmethod
-    def principal(d: int) -> "Polarization":
-        return Polarization(IntMatrix.identity(2 * d))
 
     @staticmethod
     def scalar(d: int, m: int) -> "Polarization":

@@ -3,6 +3,9 @@
 Everything here is deliberately naive: permutation sums, exhaustive
 vector scans, closure by repeated addition.  Slow is fine; these only
 run on small inputs, and they share no code paths with the package.
+The exceptions are subgroup_structure and contains, which stand in for
+methods the package no longer carries: they are built on package
+internals, and the tests check each against a naive reference.
 """
 
 import dataclasses
@@ -19,7 +22,10 @@ from monodromy import (
     ModMatrix,
     TorsionError,
     orthogonal_complement,
+    smith_normal_form,
 )
+from monodromy.matrices import _lattice_basis, howell_pivots
+from monodromy.torsion import _in_span, _integer
 
 
 def leibniz_det(rows: Sequence[Sequence[int]]) -> int:
@@ -345,6 +351,34 @@ def structure_from_counts(
             if ok:
                 return tuple(sorted(combo))
     raise AssertionError("no cyclic decomposition matched the counts")
+
+
+def subgroup_structure(s) -> Tuple[int, ...]:
+    """Invariant factors (s_1 | s_2 | ...) of a subgroup, omitting
+    trivial ones, from a Smith form of its own.
+
+    The preimage lattice L of the span has a basis H with U H V = D,
+    so L V = (+) e_i Z for the Smith divisors e_i of H, while V keeps
+    nZ^c in place.  As nZ^c <= L, every e_i divides n, and L / nZ^c is
+    the sum of the cyclic groups Z/(n/e_i).
+    """
+    n = s.module.level
+    h = IntMatrix._trusted(tuple(map(tuple, _lattice_basis(n, s.module.rank, s.gens.data))))
+    divisors = smith_normal_form(h).divisors
+    if any(n % e for e in divisors):
+        raise AssertionError("preimage lattice must contain n Z^c")
+    return tuple(sorted(n // e for e in divisors if n // e > 1))
+
+
+def contains(s, x) -> bool:
+    """Whether the vector x lies in the subgroup s, by reduction against
+    its Howell rows; coordinates are refused by the torsion module's
+    integer rule."""
+    n = s.module.level
+    vec = tuple(_integer(v, "vector entries must be integers") % n for v in x)
+    if len(vec) != s.module.rank:
+        raise TorsionError("vector length does not match the module rank")
+    return _in_span(s.gens, howell_pivots(s.gens), vec)
 
 
 def _poly_divmod(num: List[int], den: List[int]) -> Tuple[List[int], List[int]]:

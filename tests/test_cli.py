@@ -123,6 +123,21 @@ class TestAnalyze:
             "error: field 'polarization' must induce an alternating form")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("level", ["0", "-3"])
+    def test_level_below_two_is_refused(self, scenario_path, capsys, level):
+        # the level-bound batteries are not silently left out
+        assert main(["analyze", scenario_path(MINUS_SCENARIO), "--n", level]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: level must be >= 2\n"
+
+    def test_scenario_level_below_two_is_refused(self, scenario_path, capsys):
+        path = scenario_path(dict(MINUS_SCENARIO, n=1))
+        assert main(["analyze", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: field 'n' must be >= 2\n"
+
     def test_wild_scenario(self, scenario_path, capsys):
         path = scenario_path({"d": 1, "p": 2, "tau": [[-1, 0], [0, -1]], "seed": 0})
         assert main(["analyze", path]) == 2
@@ -223,6 +238,15 @@ class TestCohomology:
         path = scenario_path(plain)
         assert main(["cohomology", path, "--k", "2", "--n", "5"]) == 2
         assert "strictly" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "2"])
+    def test_degree_out_of_range_is_a_usage_error(self, scenario_path, capsys, k):
+        # k = 0 and k = 2d on a d = 1 scenario: exit 2, one line, no traceback
+        path = scenario_path(MINUS_SCENARIO)
+        assert main(["cohomology", path, "--k", k, "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree must satisfy 0 < k < 2\n"
 
     def test_exceptional_level(self, scenario_path, capsys):
         path = scenario_path(SHEAR_I_SCENARIO)

@@ -2,6 +2,7 @@ import pytest
 
 from monodromy import (
     HypothesisNotMet,
+    InertiaError,
     IntMatrix,
     PreconditionExcluded,
     WildRamification,
@@ -50,9 +51,9 @@ class TestCohomologyAction:
 
     def test_degree_range(self):
         g = classify(SHEAR_I)
-        with pytest.raises(ValueError):
+        with pytest.raises(InertiaError):
             cohomology_action(g, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InertiaError):
             cohomology_action(g, 5)
 
     def test_wild_modulus(self):
@@ -78,9 +79,9 @@ class TestHkVanishing:
 
     def test_degree_strictly_interior(self):
         g = classify(SHEAR_I)
-        with pytest.raises(ValueError):
+        with pytest.raises(InertiaError):
             hk_vanishing(g, 0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InertiaError):
             hk_vanishing(g, 4, 5)
 
 
@@ -126,5 +127,5 @@ class TestHigherCohomologyCriterion:
             higher_cohomology_criterion(classify(SHEAR_I, 5), 1, 5)
 
     def test_level_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InertiaError):
             higher_cohomology_criterion(classify(SHEAR_I), 4, 7)

@@ -49,7 +49,14 @@ from monodromy.torsion import (
     standard_module,
 )
 
-from _oracles import brute_fixed_vectors, naive_power, naive_product, split_fixed_vectors
+from _oracles import (
+    brute_fixed_vectors,
+    naive_power,
+    naive_product,
+    split_fixed_vectors,
+    structure_from_counts,
+    subgroup_structure,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -562,6 +569,31 @@ class TestGeneratorMemo:
                 fix = g.fixed_at_level(n)
                 assert fix == fixed_subgroup(tau, standard_module(n, d))
                 assert set(fix.elements()) == split_fixed_vectors(tau.reduce_mod(n))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fixed_structure_from_the_smith_divisors(self, d):
+        # gcd(d_i, n) over the Smith divisors of tau - I, against a Smith
+        # form of the fixed subgroup's own Hermite basis for every entry,
+        # and on a sample against the kill-count profile of up to 6^3
+        # elements and a conjugate, which has the same structure.  The
+        # sample is everything at d <= 2 and every fifth entry at d = 3
+        rng = random.Random(d)
+        levels = range(2, 13) if d < 3 else range(2, 7)
+        for i, base in enumerate(catalog_matrices(d)):
+            g = classify(base)
+            sampled = d < 3 or i % 5 == 0
+            if sampled:
+                conjugate = classify(random_symplectic_conjugate(base, rng)[0])
+            for n in levels:
+                fix = g.fixed_at_level(n)
+                structure = g.fixed_structure(n)
+                assert structure == subgroup_structure(fix)
+                if not sampled:
+                    continue
+                if fix.order <= 6**3:
+                    assert structure == structure_from_counts(frozenset(fix.elements()), n)
+                assert conjugate.fixed_structure(n) == structure == subgroup_structure(
+                    conjugate.fixed_at_level(n))
 
     def test_split_oracle_matches_brute_scan(self):
         for d, levels in ((1, range(2, 13)), (2, (2, 3, 4))):

@@ -451,13 +451,22 @@ class TestHowell:
 class TestKernel:
     def test_matches_brute_enumeration(self):
         rng = random.Random(23)
+        cases = []
         for _ in range(200):
             n = rng.choice((2, 3, 4, 5, 6))
             a = rnd_int_matrix(rng, rng.randint(1, 2), rng.randint(1, 2), 0, n - 1)
-            am = a.reduce_mod(n)
+            cases.append(a.reduce_mod(n))
+        # no rows, a zero matrix, and fewer rows than columns, so that
+        # the Smith kernel generators run past the diagonal
+        for n in (1, 2, 4, 6, 12):
+            cases += [ModMatrix(n, [], 3), ModMatrix(n, [[0, 0, 0]] * 2, 3),
+                      ModMatrix(n, [[2, 3, 4]], 3), ModMatrix(n, [[6, 3, 0, 9]], 4),
+                      ModMatrix(n, [[1, 2, 0, 3], [0, 4, 6, 2]], 4)]
+            cases.append(rnd_int_matrix(rng, 2, 3, 0, 11).reduce_mod(n))
+        for am in cases:
             ker = kernel_mod_n(am)
             brute = brute_kernel_vectors(am)
-            assert span_closure(ker.data, am.cols, n) == brute
+            assert span_closure(ker.data, am.cols, am.modulus) == brute
 
     def test_zero_matrix_kernel_is_everything(self):
         ker = kernel_mod_n(ModMatrix(3, [[0, 0]] * 2, 2))

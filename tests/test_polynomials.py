@@ -7,7 +7,7 @@ from monodromy.polynomials import divisors
 class TestIntPoly:
     def test_constant_term_first(self):
         p = IntPoly((1, 0, 1))
-        assert p.degree == 2 and p.coeff(0) == 1 and p.coeff(2) == 1
+        assert p.degree == 2 and p.coeffs[0] == 1 and p.coeffs[2] == 1
 
     def test_trailing_zeros_stripped(self):
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)

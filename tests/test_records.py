@@ -40,7 +40,7 @@ def _samples():
     minus = IntMatrix([[-1, 0], [0, -1]])
     ident = IntMatrix([[1, 0], [0, 1]])
     module = standard_module(5, 1)
-    full, trivial = module.full_subgroup(), module.trivial_subgroup()
+    full, trivial = module.full_subgroup(), module.subgroup([])
     return {
         "IntPoly": [((1, 2),), ((1, 2),), ((),), ((0, 1),)],
         "SmithDecomposition": [(ident, shear, ident), (ident, shear2, ident),

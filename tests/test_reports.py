@@ -1,4 +1,7 @@
+import pytest
+
 from monodromy import (
+    InertiaError,
     IntMatrix,
     Scenario,
     build_report,
@@ -83,6 +86,14 @@ class TestBuildReport:
         r = build_report(MINUS_P3, level=5)
         assert set(r["torsion"]) == {"2", "4", "5"}
         assert r["torsion"]["5"] == {"fixed_order": 1, "structure": []}
+
+    @pytest.mark.parametrize("level", [1, 0, -3])
+    def test_level_below_two_is_refused(self, level):
+        # an explicit level, or one stored on the scenario
+        with pytest.raises(InertiaError, match="level must be >= 2"):
+            build_report(MINUS_P3, level=level)
+        with pytest.raises(InertiaError, match="level must be >= 2"):
+            build_report(Scenario(1, 3, MINUS_P3.tau, level=level))
 
     def test_verdict_dicts_have_no_witness_key(self):
         # witnesses are conjugation-dependent; reports stay invariant

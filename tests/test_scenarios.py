@@ -74,7 +74,7 @@ class TestScenarioParsing:
             (minimal(tau=[[1]]), "must be 2 x 2 for d = 1"),
             ({"d": 1, "p": 0, "tau": [[1, 0], [0, 1]]}, "missing required field 'seed'"),
             (minimal(polarization=[[1]]), "field 'polarization' must be 2 x 2"),
-            (minimal(n=0), "field 'n' must be >= 1"),
+            (minimal(n=0), "field 'n' must be >= 2"),
             (minimal(flags=[]), "field 'flags' must be an object"),
             (minimal(flags={"fast": True}), "unknown flags"),
             (minimal(flags={"strictly_henselian": 1}), "must be a boolean"),
@@ -87,6 +87,7 @@ class TestScenarioParsing:
              "field 'polarization' must induce an alternating form"),
             (minimal(polarization=[[1, 1], [0, 1]]),
              "field 'polarization' must induce an alternating form"),
+            (minimal(n=1), "field 'n' must be >= 2"),
         ],
     )
     def test_rejects_with_named_field(self, obj, fragment):

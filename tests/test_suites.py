@@ -166,7 +166,7 @@ def test_torsion_identity_checks_fixed_subgroup_independently(monkeypatch):
     # the suite's reference is a kernel computed mod n, not the cached
     # subgroup the report path reads
     monkeypatch.setattr(suites, "fixed_subgroup",
-                        lambda tau, module: module.trivial_subgroup())
+                        lambda tau, module: module.subgroup([]))
     report = run_suite("torsion-identity", trials=1, d_max=1)
     assert report.violations > 0
     assert report.failures[0].startswith("fixed order drifted at n=2")
