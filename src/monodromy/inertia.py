@@ -107,12 +107,11 @@ class InertiaGenerator(Record):
     identity assigned index 0, and None otherwise.
 
     Data that several criteria read off tau (the Smith form of tau - I,
-    tau^e and (tau^e - I)^2 per exponent e, the fixed subgroup FIX, the
-    containment FIX-perp <= FIX and the fixed maximal isotropic
-    subgroup per level and polarization, and the Neron invariants) is
-    computed on first use and kept in the instance __dict__.  It is not
-    a field, so equality, hashing and repr are unchanged, and it goes
-    away with the instance.
+    tau^e and (tau^e - I)^2 per exponent e, the fixed subgroup FIX and
+    the fixed maximal isotropic subgroup per level and polarization,
+    and the Neron invariants) is computed on first use and kept in the
+    instance __dict__.  It is not a field, so equality, hashing and
+    repr are unchanged, and it goes away with the instance.
     """
 
     _fields = ("matrix", "residue_char", "dimension", "factor_orders",
@@ -192,10 +191,6 @@ class InertiaGenerator(Record):
         return {}
 
     @cached_property
-    def _perp_inside(self) -> Dict[Tuple[int, Optional[Polarization]], bool]:
-        return {}
-
-    @cached_property
     def _isotropic(self) -> Dict[Tuple[int, Optional[Polarization]], Optional[Subgroup]]:
         return {}
 
@@ -231,24 +226,19 @@ class InertiaGenerator(Record):
                 )
         return howell_form(ModMatrix._trusted(n, gens, self.rank))
 
-    def _fixed_perp_inside(self, n: int, pol: Optional[Polarization] = None) -> bool:
-        """Whether FIX-perp <= FIX for the fixed subgroup FIX at level n
-        (under the pairing induced by pol)."""
-        key = (n, pol)
-        if key not in self._perp_inside:
-            fix = self.fixed_at_level(n, pol)
-            self._perp_inside[key] = orthogonal_complement(fix).is_subgroup_of(fix)
-        return self._perp_inside[key]
-
     def fixed_maximal_isotropic(self, n: int,
                                 pol: Optional[Polarization] = None) -> Optional[Subgroup]:
         """The canonical fixed maximal isotropic subgroup at level n:
         the isotropic extension of the fixed subgroup FIX when FIX-perp
         <= FIX, and None when no fixed maximal isotropic subgroup exists.
 
+        tau preserves the pairing, so FIX-perp = im(tau - I) and the
+        containment is (tau - I)^2 = 0 mod n.
+
         Raises:
           DegreeObstruction: induced pairing degenerate (polarization
             degree shares a factor with n).
+          InertiaError: tau does not preserve J P.
         """
         fix = self.fixed_at_level(n, pol)
         if not fix.module.is_nondegenerate():
@@ -257,7 +247,9 @@ class InertiaGenerator(Record):
             )
         key = (n, pol)
         if key not in self._isotropic:
-            exists = self._fixed_perp_inside(n, pol)
+            if pol is not None and not pol.preserved_by(self.matrix):
+                raise InertiaError("tau does not preserve the polarization form J P")
+            exists = self.displacement_square.reduce_mod(n).is_zero()
             self._isotropic[key] = extend_to_maximal_isotropic(fix) if exists else None
         return self._isotropic[key]
 
@@ -403,18 +395,19 @@ def witness_exists(gen: InertiaGenerator, n: int) -> bool:
 
     S works iff S and S-perp both sit inside the fixed subgroup FIX;
     complements shrink as subgroups grow, so S = FIX minimizes the
-    complement and the test collapses to FIX-perp <= FIX.
+    complement and the test collapses to FIX-perp <= FIX.  tau
+    preserves the pairing, so FIX-perp = im(tau - I), and that
+    containment is (tau - I)^2 = 0 mod n.
     """
-    require_tame(gen.residue_char, n)
-    return gen._fixed_perp_inside(n)
+    return square_zero_mod_n(gen, n)
 
 
 def find_witness_subgroup(gen: InertiaGenerator, n: int) -> Optional[Subgroup]:
     """First subgroup in canonical order with tau trivial on it and on
     its orthogonal complement, or None.
 
-    The existence test is the cheap containment above; the exhaustive
-    scan runs only when a witness is known to exist.
+    The existence test is the square above; the exhaustive scan runs
+    only when a witness is known to exist.
 
     Raises:
       EnumerationCapError: subgroup enumeration refused (propagated).

@@ -104,7 +104,8 @@ def scenario_from_dict(obj: Dict) -> Scenario:
     becomes a Scenario.
 
     Raises:
-      ScenarioError: structural problems, with the offending field named.
+      ScenarioError: structural problems, or a polarization tau does
+        not preserve, with the offending field named.
       NotSymplectic, NotQuasiUnipotent, WildRamification,
       NotPotentiallySemistable: tau fails validation for the given p.
     """
@@ -156,6 +157,9 @@ def scenario_from_dict(obj: Dict) -> Scenario:
             raise ScenarioError("flag 'strictly_henselian' must be a boolean")
     scenario = Scenario(d, p, tau, pol, level, henselian, seed)
     scenario.generator()
+    if pol is not None and not pol.preserved_by(tau):
+        raise ScenarioError("field 'polarization' must be preserved by tau: "
+                            "tau^T (J P) tau must equal J P")
     return scenario
 
 

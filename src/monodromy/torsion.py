@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .matrices import (
@@ -169,37 +169,6 @@ class Subgroup(Record):
         pivots = howell_pivots(other.gens)
         return all(_in_span(other.gens, pivots, row) for row in self.gens.data)
 
-    def elements(self) -> Iterator[Tuple[int, ...]]:
-        """All elements, each exactly once, in increasing lexicographic
-        order, generated lazily.
-
-        Each element is sum c_k row_k over the Howell rows with
-        0 <= c_k < n / p_k; the saturation property of the form makes
-        this a bijection onto the subgroup.  Rows pivot at increasing
-        columns, so once c_1 .. c_(k-1) are chosen every entry left of
-        row k's pivot column j is fixed, and the entry at j runs over
-        the n / p_k values congruent to the partial sum mod p_k.  A
-        depth-first walk taking those values in increasing order
-        therefore yields the elements sorted.
-        """
-        n = self.module.level
-        rows = self.gens.data
-        pivots = howell_pivots(self.gens)
-
-        def walk(k: int, acc: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-            if k == len(rows):
-                yield acc
-                return
-            row = rows[k]
-            j, p = pivots[k]
-            c = -(acc[j] // p)
-            cur = tuple((a + c * b) % n for a, b in zip(acc, row))
-            for _ in range(n // p):
-                yield from walk(k + 1, cur)
-                cur = tuple((a + b) % n for a, b in zip(cur, row))
-
-        return walk(0, (0,) * self.module.rank)
-
     def apply(self, a: ModMatrix) -> "Subgroup":
         """Image under x -> a x (generators transform by right
         multiplication with a^T)."""
@@ -252,9 +221,10 @@ class Polarization(Record):
     def degree(self) -> int:
         return abs(self.matrix.det())
 
-    @staticmethod
-    def scalar(d: int, m: int) -> "Polarization":
-        return Polarization(m * IntMatrix.identity(2 * d))
+    def preserved_by(self, tau: IntMatrix) -> bool:
+        """Whether tau^T (J P) tau = J P over Z, J the standard form."""
+        form = standard_symplectic_form(self.matrix.rows // 2) @ self.matrix
+        return tau.transpose() @ form @ tau == form
 
 
 def induced_pairing(module: TorsionModule, pol: Polarization) -> TorsionModule:
@@ -389,44 +359,26 @@ def _contains_scaled_basis(h: List[List[int]], n: int, c: int) -> bool:
 def extend_to_maximal_isotropic(s: Subgroup) -> Subgroup:
     """Deterministic maximal isotropic H with s-perp <= H <= s.
 
-    Requires a nondegenerate pairing and s-perp <= s.  Greedy: starting
-    from s-perp, repeatedly adjoin the lexicographically first element
-    of s that lies outside H and is orthogonal to H.  Such an element
-    exists whenever H < H-perp, because H-perp is then contained in s
-    (the complement of H-intersect-s is H + s-perp = H), so the loop
-    ends exactly at H = H-perp.
-
-    One lazy pass over s in lexicographic order (Subgroup.elements) finds
-    the same elements as restarting the scan after every adjunction:
-    H only grows, so a candidate passed over, being in H or pairing
-    nontrivially with H, stays unusable.  Membership is decided by
-    reduction against H's Howell rows, and orthogonality against those
-    rows alone, since the pairing is bilinear.
+    Requires a nondegenerate pairing and s-perp <= s.  Starting from
+    H = s-perp, adjoin the first Howell row of H-perp that is not in H
+    until every row of H-perp is.  The pairing is alternating, so each
+    adjoined row keeps H isotropic; s-perp <= H gives H-perp <= s, so H
+    stays inside s; and the loop ends at H-perp <= H <= H-perp.  Each
+    step grows H, so there are at most as many steps as n^d has prime
+    factors counted with multiplicity, each with one complement.
     """
     if not s.module.is_nondegenerate():
         raise DegeneratePairingError("isotropic extension needs a nondegenerate pairing")
-    perp = orthogonal_complement(s)
-    if not perp.is_subgroup_of(s):
+    h = orthogonal_complement(s)
+    if not h.is_subgroup_of(s):
         raise TorsionError("orthogonal complement is not contained in the subgroup")
-    module = s.module
-    n = module.level
-    target = n ** module.dimension
-    mul = operator.mul
-    candidates = s.elements()
-    h = perp
-    while h.order < target:
+    while True:
+        perp = orthogonal_complement(h)
         pivots = howell_pivots(h.gens)
-        # row i of gens @ G pairs H's row i with any x by a dot product
-        dual = (h.gens @ module.gram).data
-        for x in candidates:
-            if all(sum(map(mul, w, x)) % n == 0 for w in dual) and not _in_span(
-                h.gens, pivots, x
-            ):
-                joined = ModMatrix._trusted(n, h.gens.data + (x,), module.rank)
-                h = Subgroup(module, howell_form(joined))
-                break
-        else:
-            raise AssertionError("greedy isotropic extension ran out of candidates")
-    if h != orthogonal_complement(h):
+        x = next((r for r in perp.gens.data if not _in_span(h.gens, pivots, r)), None)
+        if x is None:
+            break
+        h = h.module.subgroup(h.gens.data + (x,))
+    if h != perp:
         raise AssertionError("isotropic extension is not self-orthogonal")
     return h

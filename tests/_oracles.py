@@ -3,16 +3,16 @@
 Everything here is deliberately naive: permutation sums, exhaustive
 vector scans, closure by repeated addition.  Slow is fine; these only
 run on small inputs, and they share no code paths with the package.
-The exceptions are subgroup_structure and contains, which stand in for
-methods the package no longer carries: they are built on package
-internals, and the tests check each against a naive reference.
+The exceptions are subgroup_structure, contains and elements, which
+stand in for methods the package no longer carries: they are built on
+package internals, and the tests check each against a naive reference.
 """
 
 import dataclasses
 import math
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from monodromy import (
     DegeneratePairingError,
@@ -20,6 +20,7 @@ from monodromy import (
     IntPoly,
     MatrixError,
     ModMatrix,
+    Polarization,
     TorsionError,
     orthogonal_complement,
     smith_normal_form,
@@ -195,6 +196,43 @@ def span_closure(
                 seen.add(nxt)
                 frontier.append(nxt)
     return frozenset(seen)
+
+
+def elements(s) -> Iterator[Tuple[int, ...]]:
+    """All elements of the subgroup s, each exactly once, in increasing
+    lexicographic order, generated lazily.
+
+    Each element is sum c_k row_k over the Howell rows with
+    0 <= c_k < n / p_k; the saturation property of the form makes
+    this a bijection onto the subgroup.  Rows pivot at increasing
+    columns, so once c_1 .. c_(k-1) are chosen every entry left of
+    row k's pivot column j is fixed, and the entry at j runs over
+    the n / p_k values congruent to the partial sum mod p_k.  A
+    depth-first walk taking those values in increasing order
+    therefore yields the elements sorted.
+    """
+    n = s.module.level
+    rows = s.gens.data
+    pivots = howell_pivots(s.gens)
+
+    def walk(k: int, acc: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+        if k == len(rows):
+            yield acc
+            return
+        row = rows[k]
+        j, p = pivots[k]
+        c = -(acc[j] // p)
+        cur = tuple((a + c * b) % n for a, b in zip(acc, row))
+        for _ in range(n // p):
+            yield from walk(k + 1, cur)
+            cur = tuple((a + b) % n for a, b in zip(cur, row))
+
+    return walk(0, (0,) * s.module.rank)
+
+
+def scalar_polarization(d: int, m: int):
+    """m times the identity as a polarization of dimension d."""
+    return Polarization(m * IntMatrix.identity(2 * d))
 
 
 def _hnf_rows(rows: List[List[int]], cols: int) -> List[List[int]]:
@@ -447,34 +485,25 @@ def is_maximal_isotropic(s) -> bool:
     return s == orthogonal_complement(s)
 
 
-def naive_extend_to_maximal_isotropic(s):
-    """The greedy isotropic extension over element sets.
-
-    H is held as the set of all its elements, rebuilt after every
-    adjoined generator, and the scan of sorted(s) restarts each time;
-    a candidate is tested against every element of H.
-    """
-    from monodromy.matrices import howell_form
-    from monodromy.torsion import Subgroup, orthogonal_complement
-
+def is_isotropic_extension(s, h) -> bool:
+    """Whether h is maximal isotropic with s-perp <= h <= s, decided on
+    element sets: the pairing vanishes on every pair of elements of h,
+    h has n^d elements, and the vectors orthogonal to s's generators
+    (found by scanning the whole module) lie in h, which lies in s."""
     module = s.module
-    perp = orthogonal_complement(s)
-    target = module.level ** module.dimension
-    current = set(perp.elements())
-    gens = [list(r) for r in perp.gens.data]
-    pool = sorted(set(s.elements()) - current)
-    while len(current) < target:
-        for x in pool:
-            if x in current:
-                continue
-            if all(module.pair(x, h) == 0 for h in current):
-                gens.append(list(x))
-                sub = Subgroup(module, howell_form(ModMatrix(module.level, gens, module.rank)))
-                current = set(sub.elements())
-                break
-        else:
-            raise AssertionError("greedy isotropic extension ran out of candidates")
-    return Subgroup(module, howell_form(ModMatrix(module.level, gens, module.rank)))
+    n, rank, gram = module.level, module.rank, module.gram.data
+    members = span_closure(h.gens.data, rank, n)
+    isotropic = all(
+        sum(x[i] * gram[i][j] * y[j] for i in range(rank) for j in range(rank)) % n == 0
+        for x in members
+        for y in members
+    )
+    perp = brute_orthogonal(frozenset(s.gens.data), module.gram)
+    return (
+        isotropic
+        and len(members) == n**module.dimension
+        and perp <= members <= span_closure(s.gens.data, rank, n)
+    )
 
 
 # The package's frozen records as they were declared with

@@ -123,6 +123,21 @@ class TestAnalyze:
             "error: field 'polarization' must induce an alternating form")
         assert captured.err.count("\n") == 1
 
+    def test_polarization_tau_does_not_preserve(self, scenario_path, capsys):
+        # tau is symplectic but does not commute with P, so J P is not
+        # preserved; the fixed maximal isotropic test would not apply
+        path = scenario_path({
+            "d": 2, "p": 0, "seed": 0, "n": 3,
+            "tau": [[9, 4, 0, 8], [-12, -9, -8, 0], [0, 4, 9, -12], [-4, 0, 4, -9]],
+            "polarization": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]],
+        })
+        assert main(["analyze", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: field 'polarization' must be preserved by tau")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("level", ["0", "-3"])
     def test_level_below_two_is_refused(self, scenario_path, capsys, level):
         # the level-bound batteries are not silently left out

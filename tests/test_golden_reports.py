@@ -4,9 +4,10 @@ per-generator caches already hold.
 golden_reports.json maps "d/index" (position in catalog_matrices(d))
 to the SHA-256 of canonical_json + render_text for the scenario
 (d, p = 0, tau).  It covers every d = 1 entry and every d = 2 entry
-that is not semistable; the semistable d = 2 entries run the witness
-scan and are left out to keep the suite fast.  One more digest covers
-the non-semistable d = 3 entries and conjugates with large entries.
+that is not semistable.  The 16 semistable d = 2 entries, which run the
+witness scan and build their fixed maximal isotropic subgroups by
+isotropic extension, share one digest, as do the non-semistable d = 3
+entries with conjugates with large entries.
 """
 
 import hashlib
@@ -32,6 +33,11 @@ from monodromy.catalog import catalog_matrices, random_symplectic_conjugate
 # followed by a random_symplectic_conjugate drawn from random.Random(3)
 D3_COUNT = 1267
 D3_DIGEST = "370dc662df083b8b30ab118d97adb96729a05a9559a5a51eb9298c4b3da894f5"
+
+# SHA-256 over canonical_json + render_text of every semistable
+# catalog_matrices(2) scenario at p = 0, in catalog order
+D2_SEMISTABLE_COUNT = 16
+D2_SEMISTABLE_DIGEST = "9d05f510edc26a90128588c0ce6129a6368e6d69ed8ab7b60b53b17f46130c53"
 
 with open(os.path.join(os.path.dirname(__file__), "golden_reports.json"),
           encoding="utf-8") as fh:
@@ -80,3 +86,12 @@ def test_non_semistable_d3_reports_match_golden_digest():
             conjugate = random_symplectic_conjugate(tau, rng)[0]
             digest.update(canonical_json(build_report(Scenario(3, 0, conjugate))).encode())
     assert digest.hexdigest() == D3_DIGEST
+
+
+def test_semistable_d2_reports_match_golden_digest():
+    digest = hashlib.sha256()
+    taus = [tau for tau in catalog_matrices(2) if galois_criterion(classify(tau))]
+    assert len(taus) == D2_SEMISTABLE_COUNT
+    for tau in taus:
+        digest.update(_bytes(Scenario(2, 0, tau)).encode())
+    assert digest.hexdigest() == D2_SEMISTABLE_DIGEST

@@ -44,6 +44,7 @@ from monodromy.neron import neron_torsion, verify_neron4
 from monodromy.torsion import (
     extend_to_maximal_isotropic,
     fixed_subgroup,
+    fixes_pointwise,
     induced_pairing,
     orthogonal_complement,
     standard_module,
@@ -51,8 +52,10 @@ from monodromy.torsion import (
 
 from _oracles import (
     brute_fixed_vectors,
+    elements,
     naive_power,
     naive_product,
+    scalar_polarization,
     split_fixed_vectors,
     structure_from_counts,
     subgroup_structure,
@@ -357,8 +360,30 @@ class TestLevelStructureCriterion:
     def test_degenerate_polarization(self):
         with pytest.raises(DegreeObstruction):
             level_structure_criterion(
-                classify(MINUS), 2, Polarization.scalar(1, 2)
+                classify(MINUS), 2, scalar_polarization(1, 2)
             )
+
+    @pytest.mark.parametrize("n", [1009, 10007])
+    @pytest.mark.parametrize("blocks", [(I2, I2, I2), (SHEAR, I2, SHEAR)])
+    def test_large_level_takes_few_complements(self, monkeypatch, blocks, n):
+        # the isotropic extension walks Howell rows, not the module's
+        # n^6 elements: one complement of FIX and one per step, d steps
+        # at most at a prime level
+        import monodromy.torsion as torsion
+
+        calls = []
+        real = torsion.orthogonal_complement
+        monkeypatch.setattr(torsion, "orthogonal_complement",
+                            lambda s: calls.append(s) or real(s))
+        tau = block_sum(list(blocks))
+        v = level_structure_criterion(classify(tau), n)
+        assert len(calls) <= len(blocks) + 2
+        monkeypatch.undo()
+        h = v.witness
+        assert triple(v) == (True, True, True)
+        assert h.order == n**3
+        assert fixes_pointwise(tau, h)
+        assert h == orthogonal_complement(h)
 
 
 class TestExceptionalCriterion:
@@ -401,7 +426,7 @@ class TestQuarticSemistability:
     def test_even_polarization_rejected(self):
         with pytest.raises(DegreeObstruction):
             quartic_semistability_check(
-                classify(SHEAR, 3), Polarization.scalar(1, 2)
+                classify(SHEAR, 3), scalar_polarization(1, 2)
             )
 
 
@@ -483,7 +508,7 @@ class TestGeneratorMemo:
         g = classify(block_sum([MINUS, SHEAR]))
         assert g.fixed_at_level(4) is g.fixed_at_level(4)
         assert g.fixed_at_level(4) == fixed_subgroup(g.matrix, standard_module(4, 2))
-        pol = Polarization.scalar(2, 3)
+        pol = scalar_polarization(2, 3)
         induced = g.fixed_at_level(4, pol)
         assert induced is g.fixed_at_level(4, pol)
         assert induced == fixed_subgroup(
@@ -499,29 +524,70 @@ class TestGeneratorMemo:
         assert classify(ROT4).fixed_maximal_isotropic(5) is None
 
     def test_fixed_perp_inside_has_one_home(self, monkeypatch):
-        # witness_exists and the fixed maximal isotropic subgroup read the
-        # one cached containment FIX-perp <= FIX per level
+        # FIX-perp <= FIX is read off (tau - I)^2 mod n, so a tau without
+        # a fixed maximal isotropic subgroup takes no orthogonal complement
         import monodromy.inertia as inertia
+        import monodromy.torsion as torsion
 
         calls = []
-        real = inertia.orthogonal_complement
-        monkeypatch.setattr(inertia, "orthogonal_complement",
-                            lambda s: calls.append(s) or real(s))
-        g = classify(block_sum([MINUS, SHEAR]))
-        assert witness_exists(g, 2)
-        assert g.fixed_maximal_isotropic(2) is not None
-        assert witness_exists(g, 2) and g._fixed_perp_inside(2)
-        assert len(calls) == 1
+        for module in (inertia, torsion):
+            real = module.orthogonal_complement
+            monkeypatch.setattr(module, "orthogonal_complement",
+                                lambda s, real=real: calls.append(s) or real(s))
+        for tau in (ROT4, ROT6, block_sum([MINUS, SHEAR])):
+            g = classify(tau)
+            assert not witness_exists(g, 5)
+            assert g.fixed_maximal_isotropic(5) is None
+        assert calls == []
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_fixed_perp_inside_matches_the_complement(self, d):
+        # the square test against the containment itself
         for tau in catalog_matrices(d)[::3]:
             g = classify(tau)
             for n in range(2, 8):
                 fix = fixed_subgroup(tau, standard_module(n, d))
                 expected = orthogonal_complement(fix).is_subgroup_of(fix)
-                assert witness_exists(g, n) == g._fixed_perp_inside(n) == expected
+                assert witness_exists(g, n) == expected
                 assert (g.fixed_maximal_isotropic(n) is not None) == expected
+
+    def test_square_test_matches_the_complement_under_invariant_polarizations(self):
+        # a block sum acts on coordinates (i, d + i) block by block, so it
+        # commutes with diag(k, 1, k, 1) and preserves J P
+        checked = 0
+        for k in (2, 3):
+            pol = Polarization(IntMatrix([
+                [k, 0, 0, 0], [0, 1, 0, 0], [0, 0, k, 0], [0, 0, 0, 1],
+            ]))
+            for tau in catalog_matrices(2)[::2]:
+                assert pol.preserved_by(tau)
+                g = classify(tau)
+                for n in range(2, 8):
+                    if n % k == 0:
+                        continue
+                    fix = g.fixed_at_level(n, pol)
+                    expected = orthogonal_complement(fix).is_subgroup_of(fix)
+                    h = g.fixed_maximal_isotropic(n, pol)
+                    assert (h is not None) == expected
+                    if h is not None:
+                        assert h == orthogonal_complement(h)
+                        assert h.is_subgroup_of(fix)
+                    checked += expected
+        assert checked == 98
+
+    def test_polarization_tau_does_not_preserve_is_refused(self):
+        # not a gate that a report would silently skip
+        tau = IntMatrix([[9, 4, 0, 8], [-12, -9, -8, 0], [0, 4, 9, -12], [-4, 0, 4, -9]])
+        pol = Polarization(IntMatrix([
+            [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2],
+        ]))
+        g = classify(tau)
+        assert not pol.preserved_by(tau)
+        for call in (lambda: g.fixed_maximal_isotropic(3, pol),
+                     lambda: level_structure_criterion(g, 3, pol)):
+            with pytest.raises(InertiaError) as caught:
+                call()
+            assert type(caught.value) is InertiaError
 
     def test_memo_is_invisible_to_equality_hash_and_repr(self):
         g = classify(ROT4, 3)
@@ -568,7 +634,7 @@ class TestGeneratorMemo:
             for n in range(2, 13):
                 fix = g.fixed_at_level(n)
                 assert fix == fixed_subgroup(tau, standard_module(n, d))
-                assert set(fix.elements()) == split_fixed_vectors(tau.reduce_mod(n))
+                assert set(elements(fix)) == split_fixed_vectors(tau.reduce_mod(n))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_fixed_structure_from_the_smith_divisors(self, d):
@@ -591,7 +657,7 @@ class TestGeneratorMemo:
                 if not sampled:
                     continue
                 if fix.order <= 6**3:
-                    assert structure == structure_from_counts(frozenset(fix.elements()), n)
+                    assert structure == structure_from_counts(frozenset(elements(fix)), n)
                 assert conjugate.fixed_structure(n) == structure == subgroup_structure(
                     conjugate.fixed_at_level(n))
 

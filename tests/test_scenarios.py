@@ -18,6 +18,13 @@ from monodromy import (
 from monodromy.torsion import fixes_pointwise
 
 MINUS = [[-1, 0], [0, -1]]
+# symplectic, but it does not commute with P = diag(1, 2, 1, 2), so it
+# does not preserve J P
+NOT_PRESERVED = {
+    "d": 2, "p": 0, "seed": 0, "n": 3,
+    "tau": [[9, 4, 0, 8], [-12, -9, -8, 0], [0, 4, 9, -12], [-4, 0, 4, -9]],
+    "polarization": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]],
+}
 
 
 def minimal(**extra):
@@ -88,6 +95,7 @@ class TestScenarioParsing:
             (minimal(polarization=[[1, 1], [0, 1]]),
              "field 'polarization' must induce an alternating form"),
             (minimal(n=1), "field 'n' must be >= 2"),
+            (NOT_PRESERVED, "field 'polarization' must be preserved by tau"),
         ],
     )
     def test_rejects_with_named_field(self, obj, fragment):
