@@ -133,16 +133,14 @@ def _cmd_tables(args) -> int:
 
     if args.nk is not None:
         if args.nk < 1:
-            from .suites import SuiteError
-            raise SuiteError("KMAX must be >= 1")
+            return _refuse("KMAX must be >= 1")
         for k in range(1, args.nk + 1):
             members = ", ".join(str(n) for n in exceptional_prime_powers(k))
             print(f"N({k}) = {{{members}}}")
         return 0
     k_max, n_max = args.r
     if k_max < 1 or n_max < 1:
-        from .suites import SuiteError
-        raise SuiteError("KMAX and NMAX must be >= 1")
+        return _refuse("KMAX and NMAX must be >= 1")
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             cert = semistability_degree(k, n, args.nbound)
@@ -157,6 +155,10 @@ def _cmd_tables(args) -> int:
 def _cmd_oracle_sweep(args) -> int:
     from .cyclotomic import quasi_unipotence_sweep
 
+    for flag, bound in (("--kmax", args.kmax), ("--nmax", args.nmax),
+                        ("--Nmax", args.order_max)):
+        if bound < 1:
+            return _refuse(f"{flag} must be >= 1")
     report = quasi_unipotence_sweep(args.kmax, args.nmax, args.order_max)
     print(f"checked {report.checked} triples with k <= {report.k_max}, "
           f"n <= {report.n_max}, order <= {report.order_max}")
@@ -210,21 +212,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.close(devnull)
         return 141
     except Exception as exc:
-        if not isinstance(exc, _usage_errors()):
+        if not _is_usage_error(exc):
             raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(exc)
 
 
-def _usage_errors() -> tuple:
-    """The exceptions that mean bad usage or unusable input (exit 2);
-    imported only once something has been raised."""
-    from .inertia import InertiaError
-    from .matrices import MatrixError
-    from .scenarios import ScenarioError
-    from .suites import SuiteError
+# The exceptions besides OSError that mean bad usage or unusable input
+# (exit 2), named rather than imported: a class whose module never ran
+# was not raised, so telling one apart loads nothing.
+_USAGE_ERRORS = {"monodromy.inertia.InertiaError", "monodromy.matrices.MatrixError",
+                 "monodromy.scenarios.ScenarioError", "monodromy.suites.SuiteError"}
 
-    return (ScenarioError, SuiteError, InertiaError, MatrixError, OSError)
+
+def _is_usage_error(exc: Exception) -> bool:
+    return isinstance(exc, OSError) or any(
+        f"{cls.__module__}.{cls.__qualname__}" in _USAGE_ERRORS for cls in type(exc).__mro__)
+
+
+def _refuse(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .inertia import (
     require_tame,
     semistable_after_extension,
 )
-from .matrices import IntMatrix, ModMatrix, exterior_power
+from .matrices import IntMatrix, ModMatrix, exterior_power, standard_symplectic_form
 
 
 class PreconditionExcluded(InertiaError):
@@ -51,8 +51,9 @@ class CohomologyAction(Record):
 def cohomology_action(gen: InertiaGenerator, k: int, n: int = 0) -> CohomologyAction:
     """Action on degree-k cohomology with Z/nZ (or integral) coefficients.
 
-    Degree one is the inverse transpose of tau; higher degrees are its
-    exterior powers.
+    Degree one is the inverse transpose of tau, which is -J tau J as
+    tau^T J tau = J and J^-1 = -J; higher degrees are its exterior
+    powers.
 
     Raises:
       InertiaError: k outside 0..2d, or n < 0.
@@ -64,7 +65,8 @@ def cohomology_action(gen: InertiaGenerator, k: int, n: int = 0) -> CohomologyAc
         raise InertiaError("modulus must be >= 0")
     if n > 0:
         require_tame(gen.residue_char, n)
-    base_z = gen.matrix.transpose().inverse_unimodular()
+    j = standard_symplectic_form(gen.dimension)
+    base_z = -(j @ gen.matrix @ j)
     if n == 0:
         base: Union[IntMatrix, ModMatrix] = base_z
     else:

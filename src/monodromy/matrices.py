@@ -182,7 +182,7 @@ class IntMatrix:
         if not self.is_square:
             raise DimensionError("powers need a square matrix")
         if e < 0:
-            return self.inverse_unimodular() ** (-e)
+            raise MatrixError("negative powers of an IntMatrix are not supported")
         if e == 0:
             return IntMatrix.identity(self.rows)
         return _power(self, e)
@@ -197,26 +197,6 @@ class IntMatrix:
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
         return _det_bareiss(self.data)
-
-    def adjugate(self) -> "IntMatrix":
-        if not self.is_square:
-            raise DimensionError("adjugate needs a square matrix")
-        n = self.rows
-        if n == 1:
-            return IntMatrix([[1]])
-        cof = [
-            [(-1) ** (i + j) * _det_bareiss(_minor(self.data, i, j)) for j in range(n)]
-            for i in range(n)
-        ]
-        return IntMatrix(cof).transpose()
-
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a matrix with determinant +-1."""
-        d = self.det()
-        if d not in (1, -1):
-            raise SingularMatrixError(f"determinant {d} is not a unit in Z")
-        adj = self.adjugate()
-        return adj if d == 1 else -adj
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -392,14 +372,6 @@ def _power(base, e: int):
         if not e:
             return result
         base = base @ base
-
-
-def _minor(data: Sequence[Sequence[int]], i: int, j: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(
-        tuple(x for cj, x in enumerate(row) if cj != j)
-        for ri, row in enumerate(data)
-        if ri != i
-    )
 
 
 def _det_bareiss(data: Sequence[Sequence[int]]) -> int:

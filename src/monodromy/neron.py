@@ -4,10 +4,10 @@ For a finite-order symplectic tau the special fiber after base change
 is abelian, so the toric rank is zero and the dimension splits as
 abelian rank a plus unipotent rank u.  Everything here is read off one
 Smith normal form of tau - I over Z: 2a zero divisors, the component
-group as the divisors above 1, its prime-to-p part by stripping
-p-powers.  Per-level torsion then comes from fixed subgroups and gcds
-with the divisors, and the verification routines check the announced
-shapes of those invariants on concrete generators, clause by clause.
+group as the divisors above 1, all of them prime to p.  Per-level
+torsion then comes from fixed subgroups and gcds with the divisors, and
+the verification routines check the announced shapes of those
+invariants on concrete generators, clause by clause.
 """
 
 from __future__ import annotations
@@ -39,16 +39,14 @@ class NeronInvariants(Record):
     """Rank split and component group of the reduction.
 
     a + u + t = d with t = 0 throughout; phi lists the elementary
-    divisors above 1 of tau - I, phi_prime the same with p-power parts
-    removed (all of phi when p = 0).
+    divisors above 1 of tau - I, and phi_prime, its prime-to-p part, is
+    all of phi.
 
-    For a generator that classify accepts, phi_prime == phi.  With m
-    the order of tau and N = 1 + tau + ... + tau^(m-1), m x = N x modulo
-    the image of tau - I, and N (tau - I) = tau^m - I = 0, so N kills
-    every x whose class in coker(tau - I) is torsion.  So m kills that
-    torsion, whose divisors are phi, and classify requires m prime to
-    p: no divisor has a p-part to strip.  Stripping only acts on a
-    generator built without classify.
+    With m the order of tau and N = 1 + tau + ... + tau^(m-1), m x = N x
+    modulo the image of tau - I, and N (tau - I) = tau^m - I = 0, so N
+    kills every x whose class in coker(tau - I) is torsion.  So every
+    divisor in phi divides m, and classify requires m prime to p: no
+    divisor has a p-part.
     """
 
     __slots__ = _fields = ("dimension", "residue_char", "abelian_rank",
@@ -69,12 +67,6 @@ class NeronInvariants(Record):
     def phi_torsion_order(self, n: int) -> int:
         """#Phi[n], the n-torsion of the component group."""
         return math.prod(math.gcd(q, n) for q in self.phi)
-
-
-def _strip_p_part(q: int, p: int) -> int:
-    while p > 1 and q % p == 0:
-        q //= p
-    return q
 
 
 def neron_invariants(gen: InertiaGenerator) -> NeronInvariants:
@@ -102,9 +94,9 @@ def _neron_invariants(gen: InertiaGenerator) -> NeronInvariants:
         raise AssertionError(f"rational nullity {zero_count} of tau - I is odd")
     a = zero_count // 2
     phi = tuple(q for q in divisors if q > 1)
-    phi_prime = tuple(
-        sorted(s for s in (_strip_p_part(q, p) for q in phi) if s > 1)
-    )
+    m = gen.semisimple_order
+    if any(m % q for q in phi):
+        raise AssertionError(f"a component divisor in {phi} does not divide the order {m}")
     return NeronInvariants(
         dimension=gen.dimension,
         residue_char=p,
@@ -112,7 +104,7 @@ def _neron_invariants(gen: InertiaGenerator) -> NeronInvariants:
         unipotent_rank=gen.dimension - a,
         toric_rank=0,
         phi=phi,
-        phi_prime=phi_prime,
+        phi_prime=phi,
     )
 
 
@@ -142,13 +134,12 @@ def neron_torsion(gen: InertiaGenerator, n: int) -> TorsionReport:
     factor n per zero divisor, gcd(q, n) per nonzero divisor q.
 
     Raises:
-      NotPotentiallyGood: tau has infinite order.
+      InertiaError: n < 1.
       WildRamification: p divides n.
+      NotPotentiallyGood: tau has infinite order.
     """
-    if n < 1:
-        raise InertiaError("level must be >= 1")
-    inv = neron_invariants(gen)
     require_tame(gen.residue_char, n)
+    inv = neron_invariants(gen)
     fix = gen.fixed_at_level(n)
     phi_n = tuple(sorted(g for g in (math.gcd(q, n) for q in inv.phi) if g > 1))
     count = n ** (2 * inv.abelian_rank) * inv.phi_torsion_order(n)
@@ -171,13 +162,27 @@ def _is_elementary_abelian(structure: Tuple[int, ...], q: int) -> bool:
     return all(s == q for s in structure)
 
 
-def _fixed_maximal_isotropic(gen: InertiaGenerator, n: int,
-                             pol: Optional[Polarization] = None) -> Optional[Subgroup]:
-    """The canonical fixed maximal isotropic at level n, or None."""
-    try:
-        return gen.fixed_maximal_isotropic(n, pol)
-    except DegreeObstruction as exc:
-        raise HypothesisNotMet(str(exc)) from None
+def _neron_entry(gen: InertiaGenerator, excluded: int, level: Optional[int],
+                 pol: Optional[Polarization]) -> NeronInvariants:
+    """The entry check the verifiers share: tau of finite order, residue
+    characteristic other than excluded, and, unless level is None, a
+    fixed maximal isotropic subgroup at level (a degenerate induced
+    pairing counts as none).
+
+    Raises:
+      NotPotentiallyGood, HypothesisNotMet.
+    """
+    inv = neron_invariants(gen)
+    if gen.residue_char == excluded:
+        raise HypothesisNotMet(f"residue characteristic {excluded} is excluded")
+    if level is not None:
+        try:
+            found = gen.fixed_maximal_isotropic(level, pol)
+        except DegreeObstruction as exc:
+            raise HypothesisNotMet(str(exc)) from None
+        if found is None:
+            raise HypothesisNotMet(f"no fixed maximal isotropic subgroup of the {level}-torsion")
+    return inv
 
 
 def verify_neron2(gen: InertiaGenerator,
@@ -191,15 +196,9 @@ def verify_neron2(gen: InertiaGenerator,
     equivalent to a vanishing component group with all of X_2 fixed.
 
     Raises:
-      NotPotentiallyGood, HypothesisNotMet, WildRamification.
+      NotPotentiallyGood, HypothesisNotMet.
     """
-    inv = neron_invariants(gen)
-    if gen.residue_char == 2:
-        raise HypothesisNotMet("residue characteristic 2 is excluded")
-    if _fixed_maximal_isotropic(gen, 2, pol) is None:
-        raise HypothesisNotMet(
-            "no fixed maximal isotropic subgroup of the two-torsion"
-        )
+    inv = _neron_entry(gen, 2, 2, pol)
     report = neron_torsion(gen, 2)
     if report.b_exponent is None:
         raise AssertionError(
@@ -245,15 +244,9 @@ def verify_neron3(gen: InertiaGenerator,
     iff the fixed part has order 3^d.
 
     Raises:
-      NotPotentiallyGood, HypothesisNotMet, WildRamification.
+      NotPotentiallyGood, HypothesisNotMet.
     """
-    inv = neron_invariants(gen)
-    if gen.residue_char == 3:
-        raise HypothesisNotMet("residue characteristic 3 is excluded")
-    if _fixed_maximal_isotropic(gen, 3, pol) is None:
-        raise HypothesisNotMet(
-            "no fixed maximal isotropic subgroup of the three-torsion"
-        )
+    inv = _neron_entry(gen, 3, 3, pol)
     report = neron_torsion(gen, 3)
     d, u = gen.dimension, inv.unipotent_rank
     out = []
@@ -311,20 +304,14 @@ def verify_neron4(gen: InertiaGenerator, mode: str,
     additive iff X_4(F) = X_2.
 
     Raises:
-      NotPotentiallyGood, HypothesisNotMet, WildRamification.
+      NotPotentiallyGood, HypothesisNotMet.
+      InertiaError: an unknown mode.
     """
-    inv = neron_invariants(gen)
-    if gen.residue_char == 2:
-        raise HypothesisNotMet("residue characteristic 2 is excluded")
+    inv = _neron_entry(gen, 2, 4 if mode == "b" else None, pol)
     if mode == "a":
         if not gen.fixes_all_torsion(2):
             raise HypothesisNotMet("tau is not trivial on the two-torsion")
-    elif mode == "b":
-        if _fixed_maximal_isotropic(gen, 4, pol) is None:
-            raise HypothesisNotMet(
-                "no fixed maximal isotropic subgroup of the four-torsion"
-            )
-    else:
+    elif mode != "b":
         raise InertiaError(f"unknown mode {mode!r}")
     report = neron_torsion(gen, 4)
     a, u, d = inv.abelian_rank, inv.unipotent_rank, gen.dimension

@@ -11,7 +11,7 @@ serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .inertia import (
     DegreeObstruction,
@@ -58,6 +58,15 @@ def _default_criterion_level(gen: InertiaGenerator) -> int:
     while not is_tame(gen.residue_char, n):
         n += 1
     return n
+
+
+def _first_neron4(gen: InertiaGenerator, pol) -> Tuple[Verdict, ...]:
+    """The four-torsion clauses under the first quartic hypothesis that
+    applies; both certify the same clauses."""
+    try:
+        return verify_neron4(gen, "a", pol)
+    except _GATES:
+        return verify_neron4(gen, "b", pol)
 
 
 def build_report(scenario: Scenario, level: Optional[int] = None) -> Dict:
@@ -113,46 +122,28 @@ def build_report(scenario: Scenario, level: Optional[int] = None) -> Dict:
             "structure": list(gen.fixed_structure(n)),
         }
 
+    # Each battery refuses its own entry hypothesis (a wild level, a
+    # dimension, an order) by raising one of _GATES, and is then left
+    # out.  The functions are looked up on every call, so a wrapper
+    # installed on this module's names sees them.
     verdicts: List[Verdict] = []
-
-    for m in (3, 4):
-        if is_tame(p, m):
-            verdicts.append(raynaud_criterion(gen, m))
-    if is_tame(p, criterion_level):
-        try:
-            verdicts.append(level_structure_criterion(gen, criterion_level, pol))
-        except _GATES:
-            pass
-        try:
-            verdicts.append(exceptional_criterion(gen, criterion_level))
-        except _GATES:
-            pass
-    try:
-        verdicts.append(quartic_semistability_check(gen, pol))
-    except _GATES:
-        pass
-    if gen.dimension == 1:
-        verdicts.extend(elliptic_criteria(gen))
-    try:
-        verdicts.extend(purely_additive_criteria(gen))
-    except _GATES:
-        pass
-    for verifier in (
-        lambda: verify_neron2(gen, pol),
-        lambda: verify_neron3(gen, pol),
+    for battery, *args in (
+        (raynaud_criterion, gen, 3),
+        (raynaud_criterion, gen, 4),
+        (level_structure_criterion, gen, criterion_level, pol),
+        (exceptional_criterion, gen, criterion_level),
+        (quartic_semistability_check, gen, pol),
+        (elliptic_criteria, gen),
+        (purely_additive_criteria, gen),
+        (verify_neron2, gen, pol),
+        (verify_neron3, gen, pol),
+        (_first_neron4, gen, pol),
     ):
         try:
-            verdicts.extend(verifier())
+            found = battery(*args)
         except _GATES:
-            pass
-    # the two quartic hypotheses certify the same clauses, so stop after
-    # the first one that applies
-    for mode in ("a", "b"):
-        try:
-            verdicts.extend(verify_neron4(gen, mode, pol))
-            break
-        except _GATES:
-            pass
+            continue
+        verdicts.extend((found,) if isinstance(found, Verdict) else found)
 
     report["verdicts"] = [_verdict_dict(v) for v in verdicts]
     return report

@@ -689,16 +689,9 @@ def _component_bound_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[
         failures.append(f"two-part of the component group exceeds rank 2u on {tag}")
     if sum(1 for q in inv.phi_prime if q % 3 == 0) > u:
         failures.append(f"three-part of the component group exceeds rank u on {tag}")
-    stripped = 1
-    for q in inv.phi:
-        while p > 1 and q % p == 0:
-            q //= p
-        stripped *= q
-    prime_to_p = 1
-    for q in inv.phi_prime:
-        prime_to_p *= q
-    if stripped != prime_to_p:
-        failures.append(f"prime-to-p reduction of the component group drifts on {tag}")
+    # phi' = phi: classify keeps the order prime to p, and the order kills phi
+    if p and any(q % p == 0 for q in inv.phi):
+        failures.append(f"the component group has a p-part on {tag}")
     return 3, failures
 
 

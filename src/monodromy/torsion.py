@@ -113,12 +113,6 @@ class TorsionModule:
     def is_nondegenerate(self) -> bool:
         return self._nondegenerate
 
-    def pair(self, x: Tuple[int, ...], y: Tuple[int, ...]) -> int:
-        n = self.level
-        gy = [sum(self.gram.data[i][j] * y[j] for j in range(self.rank)) % n
-              for i in range(self.rank)]
-        return sum(x[i] * gy[i] for i in range(self.rank)) % n
-
     def subgroup(self, generators) -> "Subgroup":
         """Subgroup spanned by the given row vectors."""
         gens = ModMatrix(self.level, generators, self.rank)

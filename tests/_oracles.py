@@ -21,6 +21,7 @@ from monodromy import (
     MatrixError,
     ModMatrix,
     Polarization,
+    SingularMatrixError,
     TorsionError,
     orthogonal_complement,
     smith_normal_form,
@@ -45,6 +46,22 @@ def leibniz_det(rows: Sequence[Sequence[int]]) -> int:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """The inverse over Z of a square matrix with determinant +-1: the
+    adjugate times the determinant, every cofactor a permutation sum."""
+    n = a.rows
+    det = leibniz_det(a.data)
+    if det not in (1, -1):
+        raise SingularMatrixError(f"determinant {det} is not a unit in Z")
+
+    def minor(i, j):
+        return [[x for c, x in enumerate(row) if c != j]
+                for r, row in enumerate(a.data) if r != i]
+
+    return IntMatrix([[det * (-1) ** (i + j) * leibniz_det(minor(j, i)) for j in range(n)]
+                      for i in range(n)])
 
 
 def naive_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -466,6 +483,12 @@ def naive_semistability_degree(k: int, n: int, bound: int):
         if all(c % n == 0 for c in rem):
             admissible.append(order)
     return tuple(admissible), math.lcm(*admissible)
+
+
+def pair(module, x: Sequence[int], y: Sequence[int]) -> int:
+    """The module's pairing x^T G y mod its level, G its Gram matrix."""
+    g, rank = module.gram.data, module.rank
+    return sum(x[i] * g[i][j] * y[j] for i in range(rank) for j in range(rank)) % module.level
 
 
 def is_isotropic(s) -> bool:

@@ -51,7 +51,9 @@ class TestTables:
 
     def test_bad_bound(self, capsys):
         assert main(["tables", "--nk", "0"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: KMAX must be >= 1\n"
+        assert main(["tables", "--r", "2", "0"]) == 2
+        assert capsys.readouterr().err == "error: KMAX and NMAX must be >= 1\n"
 
 
 class TestAnalyze:
@@ -230,6 +232,15 @@ class TestOracleSweep:
         assert "boundary membership at order 2, k = 2, n = 4" in out
         assert "boundary membership at order 4, k = 2, n = 2" in out
         assert "boundary membership at order 3, k = 2, n = 3" in out
+
+    @pytest.mark.parametrize("flag", ["--kmax", "--nmax", "--Nmax"])
+    def test_bound_below_one_is_a_usage_error(self, capsys, flag):
+        argv = ["oracle", "sweep", "--kmax", "5", "--nmax", "5", "--Nmax", "5"]
+        argv[argv.index(flag) + 1] = "0"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 1\n"
 
 
 class TestCohomology:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from monodromy import (
@@ -11,7 +13,9 @@ from monodromy import (
     higher_cohomology_criterion,
     hk_vanishing,
 )
-from monodromy.catalog import block_sum
+from monodromy.catalog import block_sum, catalog_matrices, random_symplectic_conjugate
+
+from _oracles import inverse_unimodular
 
 I2 = IntMatrix.identity(2)
 SHEAR = IntMatrix([[1, 1], [0, 1]])
@@ -31,8 +35,15 @@ class TestCohomologyAction:
         g = classify(SHEAR_I)
         act = cohomology_action(g, 1)
         assert act.modulus == 0
-        assert act.matrix == SHEAR_I.transpose().inverse_unimodular()
+        assert act.matrix == inverse_unimodular(SHEAR_I.transpose())
         assert act.base == act.matrix
+        # -J tau J against the adjugate inverse of tau^T, over the d <= 2
+        # catalog and a conjugate of each d = 2 entry
+        rng = random.Random(11)
+        taus = list(catalog_matrices(1)) + list(catalog_matrices(2))
+        taus += [random_symplectic_conjugate(tau, rng)[0] for tau in catalog_matrices(2)]
+        for tau in taus:
+            assert cohomology_action(classify(tau), 1).base == inverse_unimodular(tau.transpose())
 
     def test_sizes_are_binomials(self):
         g = classify(SHEAR_I)

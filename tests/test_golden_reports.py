@@ -18,6 +18,7 @@ import random
 import pytest
 
 from monodromy import (
+    InertiaError,
     Scenario,
     build_report,
     canonical_json,
@@ -38,6 +39,22 @@ D3_DIGEST = "370dc662df083b8b30ab118d97adb96729a05a9559a5a51eb9298c4b3da894f5"
 # catalog_matrices(2) scenario at p = 0, in catalog order
 D2_SEMISTABLE_COUNT = 16
 D2_SEMISTABLE_DIGEST = "9d05f510edc26a90128588c0ce6129a6368e6d69ed8ab7b60b53b17f46130c53"
+
+# Per residue characteristic p: SHA-256 over canonical_json + render_text
+# of every catalog_matrices(1) scenario and every non-semistable
+# catalog_matrices(2) scenario, in catalog order, each at the default
+# level and then at levels 3, 4 and 6.  A scenario that is refused
+# contributes "<exception class>: <message>" instead, so the digest pins
+# which batteries each tame or wild level gates out as well as the
+# refusals themselves.
+GATED_COUNT = 116
+GATED_LEVELS = (None, 3, 4, 6)
+GATED_DIGESTS = {
+    2: "8a178543fe2d5b45e7bc7dee19f25f644709e30c90436b21d7f9f2a544e3ec42",
+    3: "80b3103db5622c1e736592beb1a99aa0c502b1b589ca567c970c3e3aeee94eb4",
+    5: "e47bf84658303920a74386e01ecc3a4b608552644c4be0c0b7141869ae7e5c27",
+    7: "a4e66a71d4d85555804780ba6c035835f203fffc6e8a00c516a77f82cd5d19d3",
+}
 
 with open(os.path.join(os.path.dirname(__file__), "golden_reports.json"),
           encoding="utf-8") as fh:
@@ -95,3 +112,21 @@ def test_semistable_d2_reports_match_golden_digest():
     for tau in taus:
         digest.update(_bytes(Scenario(2, 0, tau)).encode())
     assert digest.hexdigest() == D2_SEMISTABLE_DIGEST
+
+
+@pytest.mark.parametrize("p", sorted(GATED_DIGESTS))
+def test_gated_reports_at_positive_p_match_golden_digest(p):
+    taus = [(1, tau) for tau in catalog_matrices(1)] + [
+        (2, tau) for tau in catalog_matrices(2) if not galois_criterion(classify(tau))
+    ]
+    assert len(taus) == GATED_COUNT
+    digest = hashlib.sha256()
+    for d, tau in taus:
+        for level in GATED_LEVELS:
+            try:
+                report = build_report(Scenario(d, p, tau), level=level)
+                out = canonical_json(report) + render_text(report)
+            except InertiaError as exc:
+                out = f"{type(exc).__name__}: {exc}\n"
+            digest.update(out.encode())
+    assert digest.hexdigest() == GATED_DIGESTS[p]

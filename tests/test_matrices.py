@@ -26,6 +26,7 @@ from _oracles import (
     brute_kernel_vectors,
     determinant_divisor_snf,
     hermite_normal_form,
+    inverse_unimodular,
     leibniz_char_poly,
     leibniz_det,
     naive_howell_form,
@@ -94,11 +95,16 @@ class TestIntMatrix:
             IntMatrix([[1, 2, 3], [4, 5, 6]]).det()
 
     def test_inverse_unimodular(self):
-        rng = random.Random(7)
+        # the oracle inverse the contragredient is checked against
         a = IntMatrix([[2, 1], [1, 1]])
-        assert a @ a.inverse_unimodular() == IntMatrix.identity(2)
+        assert a @ inverse_unimodular(a) == IntMatrix.identity(2)
+        assert inverse_unimodular(IntMatrix([[-1]])) == IntMatrix([[-1]])
         with pytest.raises(SingularMatrixError):
-            IntMatrix([[2, 0], [0, 1]]).inverse_unimodular()
+            inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
+
+    def test_negative_powers_refused(self):
+        with pytest.raises(MatrixError, match="negative powers"):
+            IntMatrix([[2, 1], [1, 1]]) ** -1
 
     def test_transpose(self):
         a = IntMatrix([[1, 2, 3], [4, 5, 6]])

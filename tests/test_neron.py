@@ -60,14 +60,21 @@ class TestNeronInvariants:
         assert inv.phi_prime == (2, 2)
         assert math.prod(inv.phi) == 4
 
-    def test_p_part_stripped(self):
-        # classify refuses p = 3 for a tau of order 3, so the generator
-        # is built directly to reach the stripping
+    def test_forced_p_part_is_kept(self):
+        # classify refuses p = 3 for a tau of order 3; a generator built
+        # directly around that keeps its component group whole
         g = classify(ROT3)
         forced = InertiaGenerator(g.matrix, 3, *(getattr(g, f) for f in g._fields[2:]))
         inv = neron_invariants(forced)
-        assert inv.phi == (3,)
-        assert inv.phi_prime == ()
+        assert inv.phi == inv.phi_prime == (3,)
+
+    def test_divisor_outside_the_order_is_refused(self):
+        # -I forced to order 1: its divisors 2, 2 do not divide the order
+        g = classify(MINUS)
+        fields = [getattr(g, f) for f in g._fields]
+        fields[g._fields.index("semisimple_order")] = 1
+        with pytest.raises(AssertionError, match="does not divide the order 1"):
+            neron_invariants(InertiaGenerator(*fields))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_classified_generators_have_no_p_part(self, p):

@@ -90,6 +90,24 @@ class TestFootprint:
         assert "cli" in loaded
         assert not loaded & STDLIB
 
+    def test_refused_analyze_skips_suites_and_cohomology(self, tmp_path):
+        # a usage error is told apart without importing its home module
+        path = tmp_path / "not-symplectic.json"
+        path.write_text(json.dumps({"d": 1, "p": 0, "tau": [[2, 0], [0, 1]], "seed": 0}))
+        loaded = footprint(["analyze", str(path)])
+        assert {"reports", "scenarios", "inertia"} <= loaded
+        assert not loaded & {"suites", "cohomology", "catalog", "concurrent"}
+
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--nk", "0"],
+        ["tables", "--r", "0", "4"],
+        ["oracle", "sweep", "--kmax", "0", "--nmax", "5", "--Nmax", "5"],
+    ])
+    def test_refused_tables_and_oracle_stay_in_cyclotomic(self, argv):
+        loaded = footprint(argv)
+        assert "cli" in loaded
+        assert not loaded & (HEAVY | {"matrices"})
+
     def test_verify_loads_suites(self):
         loaded = footprint(["verify", "--suite", "neron2", "--trials", "1"])
         assert "suites" in loaded
@@ -135,6 +153,15 @@ class TestNamespace:
         for name in ("matrices", "suites", "cohomology"):
             assert isinstance(getattr(monodromy, name), types.ModuleType)
             assert sys.modules[f"monodromy.{name}"] is getattr(monodromy, name)
+
+
+def test_usage_errors_name_their_classes():
+    from monodromy import cli
+
+    for dotted in cli._USAGE_ERRORS:
+        module, _, name = dotted.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        assert issubclass(cls, ValueError) and cls.__module__ == module
 
 
 def test_verify_help_lists_the_suite_ids():

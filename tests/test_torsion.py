@@ -30,10 +30,12 @@ from _oracles import (
     brute_subgroups,
     contains,
     elements,
+    inverse_unimodular,
     is_isotropic,
     is_isotropic_extension,
     is_maximal_isotropic,
     leibniz_det,
+    pair,
     scalar_polarization,
     span_closure,
     structure_from_counts,
@@ -60,10 +62,10 @@ class TestTorsionModule:
 
     def test_standard_pairing_values(self):
         m = standard_module(7, 1)
-        assert m.pair((1, 0), (0, 1)) == 1
-        assert m.pair((0, 1), (1, 0)) == 6
-        assert m.pair((1, 0), (1, 0)) == 0
-        assert m.pair((2, 3), (4, 5)) == (2 * 5 - 3 * 4) % 7
+        assert pair(m, (1, 0), (0, 1)) == 1
+        assert pair(m, (0, 1), (1, 0)) == 6
+        assert pair(m, (1, 0), (1, 0)) == 0
+        assert pair(m, (2, 3), (4, 5)) == (2 * 5 - 3 * 4) % 7
 
     def test_pairing_is_alternating(self):
         m = standard_module(6, 2)
@@ -71,8 +73,8 @@ class TestTorsionModule:
         for _ in range(30):
             x = tuple(rng.randrange(6) for _ in range(4))
             y = tuple(rng.randrange(6) for _ in range(4))
-            assert (m.pair(x, y) + m.pair(y, x)) % 6 == 0
-            assert m.pair(x, x) == 0
+            assert (pair(m, x, y) + pair(m, y, x)) % 6 == 0
+            assert pair(m, x, x) == 0
 
     def test_validation(self):
         with pytest.raises(TorsionError):
@@ -364,7 +366,7 @@ class TestDualAction:
         )
         # a is unimodular over Z, so its inverse there reduces to the
         # inverse mod 5
-        astar = a.lift().transpose().inverse_unimodular().reduce_mod(5)
+        astar = inverse_unimodular(a.lift().transpose()).reduce_mod(5)
         rng = random.Random(7)
         for _ in range(25):
             x = tuple(rng.randrange(5) for _ in range(4))
@@ -384,7 +386,7 @@ class TestDualAction:
         a = IntMatrix([[2, 1], [1, 1]])
 
         def dual(m):
-            return m.transpose().inverse_unimodular()
+            return inverse_unimodular(m.transpose())
 
         assert dual(dual(a)) == a
 
