@@ -24,7 +24,6 @@ _EXPORTS = {
         "IntMatrix",
         "MatrixError",
         "ModMatrix",
-        "SingularMatrixError",
         "SmithDecomposition",
         "char_poly",
         "exterior_power",

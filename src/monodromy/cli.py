@@ -141,6 +141,8 @@ def _cmd_tables(args) -> int:
     k_max, n_max = args.r
     if k_max < 1 or n_max < 1:
         return _refuse("KMAX and NMAX must be >= 1")
+    if args.nbound < 1:
+        return _refuse("--nbound must be >= 1")
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             cert = semistability_degree(k, n, args.nbound)

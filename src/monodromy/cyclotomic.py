@@ -260,13 +260,13 @@ def semistability_degree(k: int, n: int, bound: int = 1000) -> DegreeCertificate
     Args:
       k: congruence exponent, >= 1.
       n: modulus, >= 1; n = 1 yields the unbounded sentinel.
-      bound: largest order searched.
+      bound: largest order searched, >= 1.
 
     Returns:
       DegreeCertificate listing every admissible order and the lcm.
     """
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
+    if k < 1 or n < 1 or bound < 1:
+        raise ValueError("k, n and bound must be >= 1")
     if n == 1:
         return DegreeCertificate(k, n, bound, (), None, True)
     admissible = [1]

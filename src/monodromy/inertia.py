@@ -107,11 +107,11 @@ class InertiaGenerator(Record):
     identity assigned index 0, and None otherwise.
 
     Data that several criteria read off tau (the Smith form of tau - I,
-    tau^e and (tau^e - I)^2 per exponent e, the fixed subgroup FIX and
-    the fixed maximal isotropic subgroup per level and polarization,
-    and the Neron invariants) is computed on first use and kept in the
-    instance __dict__.  It is not a field, so equality, hashing and
-    repr are unchanged, and it goes away with the instance.
+    (tau - I)^2, the fixed subgroup FIX and the fixed maximal isotropic
+    subgroup per level and polarization, and the Neron invariants) is
+    computed on first use and kept in the instance __dict__.  It is not
+    a field, so equality, hashing and repr are unchanged, and it goes
+    away with the instance.
     """
 
     _fields = ("matrix", "residue_char", "dimension", "factor_orders",
@@ -138,24 +138,13 @@ class InertiaGenerator(Record):
         """Multiplicative order, when finite."""
         return self.semisimple_order if self.potentially_good else None
 
-    def power(self, e: int) -> IntMatrix:
-        if e not in self._powers:
-            self._powers[e] = self.matrix**e
-        return self._powers[e]
-
-    def square_after(self, e: int) -> IntMatrix:
-        """(tau^e - I)^2 over Z, kept per exponent e."""
-        if e not in self._squares:
-            self._squares[e] = _square_of_displacement(self.power(e))
-        return self._squares[e]
-
     def module(self, n: int) -> TorsionModule:
         return standard_module(n, self.dimension)
 
-    @property
+    @cached_property
     def displacement_square(self) -> IntMatrix:
         """(tau - I)^2 over Z."""
-        return self.square_after(1)
+        return _square_of_displacement(self.matrix)
 
     @cached_property
     def _displacement_snf(self) -> SmithDecomposition:
@@ -177,14 +166,6 @@ class InertiaGenerator(Record):
         """Whether tau fixes every m-torsion point, that is tau = I mod
         m: m divides every Smith divisor of tau - I."""
         return all(d % m == 0 for d in self.displacement_divisors)
-
-    @cached_property
-    def _powers(self) -> Dict[int, IntMatrix]:
-        return {}
-
-    @cached_property
-    def _squares(self) -> Dict[int, IntMatrix]:
-        return {}
 
     @cached_property
     def _fixed(self) -> Dict[Tuple[int, Optional[Polarization]], Subgroup]:
@@ -289,10 +270,9 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
         ) from exc
     orders = tuple(sorted(factors.items()))
     m = math.lcm(*factors.keys())
-    ident = IntMatrix.identity(matrix.rows)
     power_m = matrix**m
-    square = _square_of_displacement(power_m)
-    if square != IntMatrix.zeros(matrix.rows, matrix.rows):
+    finite = power_m == IntMatrix.identity(matrix.rows)
+    if not finite and not _square_of_displacement(power_m).is_zero():
         raise NotPotentiallySemistable(
             f"(tau^{m} - I)^2 != 0: unipotent part has nilpotency index above 2"
         )
@@ -310,18 +290,15 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
             raise AssertionError(
                 "characteristic polynomial (x - 1)^2d but tau - I is not nilpotent"
             )
-    gen = InertiaGenerator(
+    return InertiaGenerator(
         matrix=matrix,
         residue_char=residue_char,
         dimension=d,
         factor_orders=orders,
         semisimple_order=m,
         unipotent_index=index,
-        potentially_good=(power_m == ident),
+        potentially_good=finite,
     )
-    gen._powers[m] = power_m
-    gen._squares[m] = square
-    return gen
 
 
 class Verdict(Record):
@@ -367,13 +344,20 @@ def square_zero_mod_n(gen: InertiaGenerator, n: int) -> bool:
 def semistable_after_extension(gen: InertiaGenerator, e: int) -> bool:
     """(tau^e - I)^2 = 0: some degree-e base change is semistable.
 
-    No coprimality constraint on e: the minimal degree is the semisimple
-    order and is prime to the residue characteristic, so whenever it
-    divides e a degree-e extension with the right tame part exists.
+    This holds iff the semisimple order m divides e.  If m | e, then
+    with N = tau^m - I, which classify proved has N^2 = 0, tau^e =
+    (I + N)^(e/m) = I + (e/m) N, so (tau^e - I)^2 = (e/m)^2 N^2 = 0.
+    If not, some eigenvalue zeta of tau, a root of unity of order
+    dividing m, has zeta^e != 1, and (tau^e - I)^2 has the nonzero
+    eigenvalue (zeta^e - 1)^2.
+
+    No coprimality constraint on e: the minimal degree m is prime to
+    the residue characteristic, so whenever it divides e a degree-e
+    extension with the right tame part exists.
     """
     if e < 1:
         raise InertiaError("extension degree must be >= 1")
-    return gen.square_after(e).is_zero()
+    return e % gen.semisimple_order == 0
 
 
 def minimal_semistable_degree(gen: InertiaGenerator) -> int:
@@ -575,7 +559,7 @@ def elliptic_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
             p != 2 and gen.potentially_good and not is_good(gen),
             lambda: (not _fixed_has_element_of_order(gen, 4))
             and gen.fixes_all_torsion(2),
-            lambda: gen.power(2) == IntMatrix.identity(gen.rank),
+            lambda: 2 % gen.semisimple_order == 0,
             "for p != 2 and bad potentially good reduction: tau^2 = I iff "
             "no fixed point of order 4 exists and all points of order 2 are fixed",
         ),
@@ -617,14 +601,14 @@ def purely_additive_criteria(gen: InertiaGenerator) -> Tuple[Verdict, ...]:
         _clause(
             "purely-additive-quadratic", p != 2,
             lambda: witness_exists(gen, 4),
-            lambda: gen.power(2) == IntMatrix.identity(gen.rank),
+            lambda: 2 % gen.semisimple_order == 0,
             "purely additive finite order, p != 2: a witness subgroup at "
             "level 4 exists iff tau^2 = I",
         ),
         _clause(
             "purely-additive-cubic", p != 3,
             lambda: witness_exists(gen, 3),
-            lambda: gen.power(3) == IntMatrix.identity(gen.rank),
+            lambda: 3 % gen.semisimple_order == 0,
             "purely additive finite order, p != 3: a witness subgroup at "
             "level 3 exists iff tau^3 = I",
         ),

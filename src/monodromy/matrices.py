@@ -33,10 +33,6 @@ class DimensionError(MatrixError):
     pass
 
 
-class SingularMatrixError(MatrixError):
-    pass
-
-
 def _entry(x, what: str = "matrix entries must be integers") -> int:
     # bool is an int subclass and a float would be truncated by int(),
     # so both are refused rather than converted.

@@ -11,6 +11,7 @@ serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Optional, Tuple
 
 from .inertia import (
@@ -113,13 +114,13 @@ def build_report(scenario: Scenario, level: Optional[int] = None) -> Dict:
     for n in torsion_levels:
         if not is_tame(p, n):
             continue
-        if gen.potentially_good:
-            fixed_order = neron_torsion(gen, n).fixed_order
-        else:
-            fixed_order = gen.fixed_at_level(n).order
+        # neron_torsion cross-checks the Smith count against the fixed
+        # subgroup; with infinite order the Smith divisors give the count
+        structure = gen.fixed_structure(n)
         report["torsion"][str(n)] = {
-            "fixed_order": fixed_order,
-            "structure": list(gen.fixed_structure(n)),
+            "fixed_order": (neron_torsion(gen, n).fixed_order if gen.potentially_good
+                            else math.prod(structure)),
+            "structure": list(structure),
         }
 
     # Each battery refuses its own entry hypothesis (a wild level, a

@@ -236,7 +236,8 @@ def induced_pairing(module: TorsionModule, pol: Polarization) -> TorsionModule:
         raise TorsionError("induced form is not alternating at this level")
 
 
-@lru_cache(maxsize=None)
+# bounded, so a long run over ever new subgroups does not grow it
+@lru_cache(maxsize=1024)
 def _complement_gens(gram: ModMatrix, gens: ModMatrix) -> ModMatrix:
     if gens.rows == 0:
         return howell_form(ModMatrix.identity(gram.cols, gram.modulus))

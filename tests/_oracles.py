@@ -21,7 +21,6 @@ from monodromy import (
     MatrixError,
     ModMatrix,
     Polarization,
-    SingularMatrixError,
     TorsionError,
     orthogonal_complement,
     smith_normal_form,
@@ -46,6 +45,10 @@ def leibniz_det(rows: Sequence[Sequence[int]]) -> int:
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+class SingularMatrixError(MatrixError):
+    """A determinant that is not a unit in Z."""
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
@@ -85,6 +88,26 @@ def naive_power(a: Sequence[Sequence[int]], e: int) -> List[List[int]]:
     for _ in range(e):
         out = naive_product(out, a)
     return out
+
+
+def displacements_after(a: Sequence[Sequence[int]],
+                        emax: int) -> List[Tuple[bool, bool]]:
+    """For e = 1..emax, whether a^e = I and whether (a^e - I)^2 = 0,
+    every power a naive product of the one before with a."""
+    size = len(a)
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    out = []
+    for _ in range(emax):
+        power = naive_product(power, a)
+        shift = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(power)]
+        out.append((not any(map(any, shift)), not any(map(any, naive_product(shift, shift)))))
+    return out
+
+
+def two_torsion_inside(module):
+    """The subgroup {x : 2x = 0} of a level-4 module, spanned by 2 e_i."""
+    rank = module.rank
+    return module.subgroup([[2 * (j == i) for j in range(rank)] for i in range(rank)])
 
 
 def leibniz_char_poly(a: IntMatrix) -> IntPoly:

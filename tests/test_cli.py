@@ -54,6 +54,11 @@ class TestTables:
         assert capsys.readouterr().err == "error: KMAX must be >= 1\n"
         assert main(["tables", "--r", "2", "0"]) == 2
         assert capsys.readouterr().err == "error: KMAX and NMAX must be >= 1\n"
+        for bound in ("0", "-4"):
+            assert main(["tables", "--r", "2", "3", "--nbound", bound]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: --nbound must be >= 1\n"
+            assert captured.out == ""
 
 
 class TestAnalyze:

@@ -168,6 +168,8 @@ class TestSemistabilityDegree:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             semistability_degree(0, 2)
+        with pytest.raises(ValueError):
+            semistability_degree(2, 3, bound=0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_full_range_oracle(self, k):

@@ -10,7 +10,6 @@ from monodromy import (
     IntMatrix,
     MatrixError,
     ModMatrix,
-    SingularMatrixError,
     char_poly,
     exterior_power,
     howell_form,
@@ -23,6 +22,7 @@ from monodromy import (
 from monodromy.catalog import catalog_matrices, random_symplectic_conjugate
 
 from _oracles import (
+    SingularMatrixError,
     brute_kernel_vectors,
     determinant_divisor_snf,
     hermite_normal_form,

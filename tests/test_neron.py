@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -17,7 +18,9 @@ from monodromy import (
     verify_neron3,
     verify_neron4,
 )
-from monodromy.catalog import block_sum, catalog_matrices
+from monodromy.catalog import block_sum, catalog_matrices, random_symplectic_conjugate
+
+from _oracles import two_torsion_inside
 
 I2 = IntMatrix.identity(2)
 MINUS = IntMatrix([[-1, 0], [0, -1]])
@@ -268,6 +271,33 @@ class TestVerifyNeron4:
     def test_residue_two_excluded(self):
         with pytest.raises(HypothesisNotMet):
             verify_neron4(classify(I2, 2), "a")
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_level_four_facts_match_the_subgroups(self, d):
+        # the clauses read the Smith divisors; the reference compares
+        # the fixed four-torsion with X_4 and with X_2 spanned by 2 e_i
+        rng = random.Random(d)
+        for base in catalog_matrices(d):
+            for tau in (base, random_symplectic_conjugate(base, rng)[0]):
+                g = classify(tau)
+                fix4, module = g.fixed_at_level(4), g.module(4)
+                two = two_torsion_inside(module)
+                inside = two.is_subgroup_of(fix4)
+                assert g.fixes_all_torsion(2) == inside
+                assert g.fixes_all_torsion(4) == (fix4 == module.full_subgroup())
+                assert (g.fixed_structure(4) == (2,) * g.rank) == (fix4 == two)
+                if not g.potentially_good:
+                    continue
+                a = neron_invariants(g).abelian_rank
+                for mode in ("a", "b"):
+                    try:
+                        got = triples(verify_neron4(g, mode))
+                    except HypothesisNotMet:
+                        continue
+                    two_ok = inside and fix4.order // two.order == 2 ** (2 * a)
+                    assert got["neron4-two-torsion"][1] == two_ok
+                    assert got["neron4-good"][0] == (fix4 == module.full_subgroup())
+                    assert got["neron4-additive"][0] == (fix4 == two)
 
 
 class TestCokernelTorsion:

@@ -217,7 +217,7 @@ def test_memos_stay_out_of_eq_hash_and_repr():
     args = (tau, 0, 1, ((1, 2),), 1, 2, False)
     gen, twin = classify(tau), dataclass_twin("InertiaGenerator")(*args)
     gen.fixed_at_level(5)
-    gen.power(3)
+    gen.displacement_square
     gen.displacement_divisors
     assert gen.__dict__ and gen == InertiaGenerator(*args)
     assert hash(gen) == hash(twin) and repr(gen) == repr(twin)

@@ -22,7 +22,7 @@ from monodromy import (
     standard_symplectic_form,
 )
 from monodromy.catalog import catalog_matrices, random_symplectic_conjugate
-from monodromy.torsion import subgroup_count_estimate
+from monodromy.torsion import _complement_gens, subgroup_count_estimate
 
 from _oracles import (
     brute_fixed_vectors,
@@ -289,6 +289,12 @@ class TestOrthogonalComplement:
         for gens in ([[3, 0]], [[2, 5]], [[6, 0], [0, 4]]):
             s = m.subgroup(gens)
             assert s.order * orthogonal_complement(s).order == m.order
+
+    def test_complement_cache_is_bounded(self):
+        # a process that takes complements of ever new subgroups must
+        # not keep every one of them
+        maxsize = _complement_gens.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
 
 class TestIsotropic:
