@@ -38,7 +38,6 @@ from .torsion import (
     Polarization,
     Subgroup,
     TorsionModule,
-    extend_to_maximal_isotropic,
     fixes_pointwise,
     induced_pairing,
     enumerate_subgroups,
@@ -107,11 +106,10 @@ class InertiaGenerator(Record):
     identity assigned index 0, and None otherwise.
 
     Data that several criteria read off tau (the Smith form of tau - I,
-    (tau - I)^2, the fixed subgroup FIX and the fixed maximal isotropic
-    subgroup per level and polarization, and the Neron invariants) is
-    computed on first use and kept in the instance __dict__.  It is not
-    a field, so equality, hashing and repr are unchanged, and it goes
-    away with the instance.
+    (tau - I)^2, the fixed subgroup FIX per level, and the Neron
+    invariants) is computed on first use and kept in the instance
+    __dict__.  It is not a field, so equality, hashing and repr are
+    unchanged, and it goes away with the instance.
     """
 
     _fields = ("matrix", "residue_char", "dimension", "factor_orders",
@@ -132,11 +130,6 @@ class InertiaGenerator(Record):
     @property
     def rank(self) -> int:
         return 2 * self.dimension
-
-    @property
-    def order(self) -> Optional[int]:
-        """Multiplicative order, when finite."""
-        return self.semisimple_order if self.potentially_good else None
 
     def module(self, n: int) -> TorsionModule:
         return standard_module(n, self.dimension)
@@ -168,17 +161,11 @@ class InertiaGenerator(Record):
         return all(d % m == 0 for d in self.displacement_divisors)
 
     @cached_property
-    def _fixed(self) -> Dict[Tuple[int, Optional[Polarization]], Subgroup]:
+    def _fixed(self) -> Dict[int, Subgroup]:
         return {}
 
-    @cached_property
-    def _isotropic(self) -> Dict[Tuple[int, Optional[Polarization]], Optional[Subgroup]]:
-        return {}
-
-    def fixed_at_level(self, n: int, pol: Optional[Polarization] = None) -> Subgroup:
-        """Points of the level-n module that tau fixes, in the module
-        carrying the pairing induced by pol (the standard one when pol
-        is None).
+    def fixed_at_level(self, n: int) -> Subgroup:
+        """Points of the level-n module that tau fixes.
 
         Read off the one Smith form of tau - I (see
         matrices._smith_kernel_gens).  Its Howell form is canonical, so
@@ -186,16 +173,9 @@ class InertiaGenerator(Record):
         gives.  Every generator is checked against tau in every
         interpreter mode.
         """
-        key = (n, pol)
-        if key not in self._fixed:
-            module = self.module(n)
-            if pol is None:
-                gens = self._fixed_gens(n)
-            else:
-                module = induced_pairing(module, pol)
-                gens = self.fixed_at_level(n).gens
-            self._fixed[key] = Subgroup(module, gens)
-        return self._fixed[key]
+        if n not in self._fixed:
+            self._fixed[n] = Subgroup(self.module(n), self._fixed_gens(n))
+        return self._fixed[n]
 
     def _fixed_gens(self, n: int) -> ModMatrix:
         gens = _smith_kernel_gens(self._displacement_snf, n)
@@ -207,32 +187,31 @@ class InertiaGenerator(Record):
                 )
         return howell_form(ModMatrix._trusted(n, gens, self.rank))
 
-    def fixed_maximal_isotropic(self, n: int,
-                                pol: Optional[Polarization] = None) -> Optional[Subgroup]:
-        """The canonical fixed maximal isotropic subgroup at level n:
-        the isotropic extension of the fixed subgroup FIX when FIX-perp
-        <= FIX, and None when no fixed maximal isotropic subgroup exists.
+    def fixes_maximal_isotropic(self, n: int, pol: Optional[Polarization] = None) -> bool:
+        """Whether tau fixes some maximal isotropic subgroup of the
+        level-n module pointwise, under the pairing induced by pol (the
+        standard one when pol is None).
 
-        tau preserves the pairing, so FIX-perp = im(tau - I) and the
-        containment is (tau - I)^2 = 0 mod n.
+        The fixed subgroup FIX is the largest candidate, so one exists
+        iff FIX-perp <= FIX, and then the isotropic extension of FIX
+        (torsion.extend_to_maximal_isotropic) is one.  tau preserves
+        the pairing, so FIX-perp = im(tau - I) and the containment is
+        (tau - I)^2 = 0 mod n.
 
         Raises:
+          TorsionError: J P is not alternating mod n.
           DegreeObstruction: induced pairing degenerate (polarization
             degree shares a factor with n).
           InertiaError: tau does not preserve J P.
         """
-        fix = self.fixed_at_level(n, pol)
-        if not fix.module.is_nondegenerate():
-            raise DegreeObstruction(
-                f"polarization degree {pol.degree} shares a factor with level {n}"
-            )
-        key = (n, pol)
-        if key not in self._isotropic:
-            if pol is not None and not pol.preserved_by(self.matrix):
+        if pol is not None:
+            if not induced_pairing(self.module(n), pol).is_nondegenerate():
+                raise DegreeObstruction(
+                    f"polarization degree {pol.degree} shares a factor with level {n}"
+                )
+            if not pol.preserved_by(self.matrix):
                 raise InertiaError("tau does not preserve the polarization form J P")
-            exists = self.displacement_square.reduce_mod(n).is_zero()
-            self._isotropic[key] = extend_to_maximal_isotropic(fix) if exists else None
-        return self._isotropic[key]
+        return self.displacement_square.reduce_mod(n).is_zero()
 
 
 def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
@@ -338,7 +317,7 @@ def square_zero_mod_n(gen: InertiaGenerator, n: int) -> bool:
     """(tau - I)^2 = 0 mod n.  For n >= 5 this is equivalent to
     semistability; for n <= 4 it can hold spuriously."""
     require_tame(gen.residue_char, n)
-    return gen.displacement_square.reduce_mod(n).is_zero()
+    return gen.fixes_maximal_isotropic(n)
 
 
 def semistable_after_extension(gen: InertiaGenerator, e: int) -> bool:
@@ -427,18 +406,17 @@ def level_structure_criterion(gen: InertiaGenerator, n: int,
     """Fixed maximal isotropic level structure versus semistability.
 
     Forward: a fixed maximal isotropic subgroup at level n >= 5 forces
-    semistability.  Converse: semistability yields one, built by
-    isotropic extension of the full fixed subgroup.  Both need the
+    semistability.  Converse: semistability yields one.  Both need the
     polarization degree prime to n, which is exactly nondegeneracy of
-    the induced pairing.
+    the induced pairing.  Existence is gen.fixes_maximal_isotropic;
+    no subgroup is built.
 
     Raises:
       DegreeObstruction: induced pairing degenerate (degree shares a
         factor with n); neither direction is then modeled.
     """
     require_tame(gen.residue_char, n)
-    witness = gen.fixed_maximal_isotropic(n, pol)
-    exists = witness is not None
+    exists = gen.fixes_maximal_isotropic(n, pol)
     semistable = galois_criterion(gen)
     agree = True
     if exists and n >= 5 and not semistable:
@@ -458,7 +436,7 @@ def level_structure_criterion(gen: InertiaGenerator, n: int,
         "semistability one is built by isotropic extension of the fixed "
         "subgroup at any level"
     )
-    return Verdict("level-structure", exists, conclusion, agree, citation, witness)
+    return Verdict("level-structure", exists, conclusion, agree, citation)
 
 
 def exceptional_criterion(gen: InertiaGenerator, n: int) -> Verdict:
@@ -498,15 +476,14 @@ def quartic_semistability_check(gen: InertiaGenerator,
     """
     if gen.residue_char == 2:
         raise WildRamification("the criterion needs residue characteristic != 2")
-    witness = gen.fixed_maximal_isotropic(2, pol)
-    if witness is None:
+    if not gen.fixes_maximal_isotropic(2, pol):
         raise HypothesisNotMet("no fixed maximal isotropic subgroup of the two-torsion")
     conclusion = square_zero_mod_n(gen, 2) and semistable_after_extension(gen, 4)
     citation = (
         "a fixed maximal isotropic subgroup of the two-torsion forces "
         "(tau - I)^2 = 0 mod 2 and (tau^4 - I)^2 = 0"
     )
-    return Verdict("quartic-semistability", True, True, conclusion, citation, witness)
+    return Verdict("quartic-semistability", True, True, conclusion, citation)
 
 
 def _fixed_has_element_of_order(gen: InertiaGenerator, r: int) -> bool:

@@ -109,13 +109,6 @@ class IntMatrix:
             tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         )
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        rows, cols = _entry(rows, _SIZE), _entry(cols, _SIZE)
-        if rows < 1 or cols < 1:
-            raise DimensionError("IntMatrix dimensions must be positive")
-        return IntMatrix._trusted(((0,) * cols,) * rows)
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -177,10 +177,10 @@ def _neron_entry(gen: InertiaGenerator, excluded: int, level: Optional[int],
         raise HypothesisNotMet(f"residue characteristic {excluded} is excluded")
     if level is not None:
         try:
-            found = gen.fixed_maximal_isotropic(level, pol)
+            found = gen.fixes_maximal_isotropic(level, pol)
         except DegreeObstruction as exc:
             raise HypothesisNotMet(str(exc)) from None
-        if found is None:
+        if not found:
             raise HypothesisNotMet(f"no fixed maximal isotropic subgroup of the {level}-torsion")
     return inv
 
@@ -228,7 +228,7 @@ def verify_neron2(gen: InertiaGenerator,
     ))
 
     good = is_good(gen)
-    criterion = not inv.phi_prime and report.fixed_order == 2**gen.rank
+    criterion = gen.fixes_all_torsion(2) and not inv.phi_prime
     out.append(Verdict(
         "neron2-good", criterion, good, criterion == good,
         "good reduction holds iff the component group vanishes and every "
@@ -267,7 +267,7 @@ def verify_neron3(gen: InertiaGenerator,
     ))
 
     good = is_good(gen)
-    all_fixed = report.fixed_order == 3 ** (2 * d)
+    all_fixed = gen.fixes_all_torsion(3)
     out.append(Verdict(
         "neron3-good", all_fixed, good, all_fixed == good,
         "good reduction holds iff every three-torsion point is fixed",

@@ -22,7 +22,7 @@ from ._record import Record
 from .cyclotomic import is_prime
 from .inertia import InertiaGenerator, classify
 from .matrices import IntMatrix, standard_symplectic_form
-from .torsion import Polarization, Subgroup, fixes_pointwise
+from .torsion import Polarization, Subgroup, extend_to_maximal_isotropic, fixes_pointwise
 
 
 class ScenarioError(ValueError):
@@ -236,7 +236,7 @@ def _verified_blocks(family: str) -> Tuple[int, Tuple[IntMatrix, ...], Tuple[int
         )
     level, blocks, chars = families[family]
     for b in blocks:
-        if classify(b).fixed_maximal_isotropic(level) is None:
+        if not classify(b).fixes_maximal_isotropic(level):
             raise AssertionError(
                 f"{family} block {b.to_lists()} fixes no maximal isotropic "
                 f"subgroup at level {level}"
@@ -271,12 +271,13 @@ def generate_hypothesis_instances(
         chosen = [blocks[rng.randrange(len(blocks))] for _ in range(d)]
         base = block_sum(chosen)
         p = chars[rng.randrange(len(chars))]
-        witness_base = classify(base).fixed_maximal_isotropic(level)
-        if witness_base is None:
+        gen = classify(base)
+        if not gen.fixes_maximal_isotropic(level):
             raise AssertionError(
                 f"{family} base {base.to_lists()} fixes no maximal isotropic "
                 f"subgroup at level {level}"
             )
+        witness_base = extend_to_maximal_isotropic(gen.fixed_at_level(level))
         matrix, u, u_inv = random_symplectic_conjugate(base, rng)
         witness = witness_base.apply(u.reduce_mod(level))
         if not fixes_pointwise(matrix.reduce_mod(level), witness):

@@ -118,9 +118,6 @@ class TorsionModule:
         gens = ModMatrix(self.level, generators, self.rank)
         return Subgroup(self, howell_form(gens))
 
-    def full_subgroup(self) -> "Subgroup":
-        return self.subgroup(ModMatrix.identity(self.rank, self.level).data)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TorsionModule)

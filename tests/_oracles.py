@@ -104,6 +104,12 @@ def displacements_after(a: Sequence[Sequence[int]],
     return out
 
 
+def full_subgroup(module):
+    """The whole module as a subgroup, spanned by the unit vectors."""
+    rank = module.rank
+    return module.subgroup([[int(j == i) for j in range(rank)] for i in range(rank)])
+
+
 def two_torsion_inside(module):
     """The subgroup {x : 2x = 0} of a level-4 module, spanned by 2 e_i."""
     rank = module.rank

@@ -19,14 +19,15 @@ from monodromy.catalog import (
 
 class TestPrimitives:
     def test_orders(self):
-        got = [classify(m).order for m in FINITE_ORDER_PRIMITIVES]
-        assert got == [1, 2, 3, 3, 4, 4, 6, 6]
+        gens = [classify(m) for m in FINITE_ORDER_PRIMITIVES]
+        assert all(g.potentially_good for g in gens)
+        assert [g.semisimple_order for g in gens] == [1, 2, 3, 3, 4, 4, 6, 6]
 
     def test_shears_unipotent(self):
         for s in SHEARS:
             g = classify(s)
             assert g.unipotent_index == 2
-            assert g.order is None
+            assert not g.potentially_good
 
     def test_all_symplectic(self):
         j = standard_symplectic_form(1)

@@ -40,8 +40,9 @@ from monodromy.inertia import (
     require_tame,
 )
 from monodromy.matrices import is_unipotent, smith_normal_form
-from monodromy.neron import neron_torsion, verify_neron4
+from monodromy.neron import neron_torsion, verify_neron2, verify_neron3, verify_neron4
 from monodromy.torsion import (
+    TorsionError,
     extend_to_maximal_isotropic,
     fixed_subgroup,
     fixes_pointwise,
@@ -106,14 +107,12 @@ class TestClassify:
         assert g.semisimple_order == 1
         assert g.unipotent_index == 0
         assert g.potentially_good
-        assert g.order == 1
 
     def test_shear(self):
         g = classify(SHEAR)
         assert g.semisimple_order == 1
         assert g.unipotent_index == 2
         assert not g.potentially_good
-        assert g.order is None
         assert g.factor_orders == ((1, 2),)
 
     def test_minus_identity(self):
@@ -121,7 +120,6 @@ class TestClassify:
         assert g.semisimple_order == 2
         assert g.unipotent_index is None
         assert g.potentially_good
-        assert g.order == 2
         assert g.factor_orders == ((2, 2),)
 
     def test_rotations(self):
@@ -351,20 +349,26 @@ class TestRaynaudCriterion:
 
 class TestLevelStructureCriterion:
     def test_semistable_has_witness(self):
-        v = level_structure_criterion(classify(SHEAR), 5)
+        g = classify(SHEAR)
+        v = level_structure_criterion(g, 5)
         assert triple(v) == (True, True, True)
-        assert v.witness.gens.to_lists() == [[1, 0]]
+        assert v.witness is None
+        assert extend_to_maximal_isotropic(g.fixed_at_level(5)).gens.to_lists() == [[1, 0]]
 
     def test_not_semistable_no_witness(self):
-        v = level_structure_criterion(classify(ROT4), 5)
+        g = classify(ROT4)
+        v = level_structure_criterion(g, 5)
         assert triple(v) == (False, None, True)
-        assert v.witness is None
+        assert not g.fixes_maximal_isotropic(5)
+        with pytest.raises(TorsionError, match="not contained"):
+            extend_to_maximal_isotropic(g.fixed_at_level(5))
 
     def test_low_level_makes_no_claim(self):
         # -I fixes everything mod 2, but n = 2 < 5 licenses nothing
-        v = level_structure_criterion(classify(MINUS), 2)
+        g = classify(MINUS)
+        v = level_structure_criterion(g, 2)
         assert triple(v) == (True, None, True)
-        assert v.witness is not None
+        assert extend_to_maximal_isotropic(g.fixed_at_level(2)).order == 2
 
     def test_degenerate_polarization(self):
         with pytest.raises(DegreeObstruction):
@@ -375,9 +379,10 @@ class TestLevelStructureCriterion:
     @pytest.mark.parametrize("n", [1009, 10007])
     @pytest.mark.parametrize("blocks", [(I2, I2, I2), (SHEAR, I2, SHEAR)])
     def test_large_level_takes_few_complements(self, monkeypatch, blocks, n):
-        # the isotropic extension walks Howell rows, not the module's
-        # n^6 elements: one complement of FIX and one per step, d steps
-        # at most at a prime level
+        # the criterion reads the square and builds nothing; the
+        # isotropic extension walks Howell rows, not the module's n^6
+        # elements: one complement of FIX and one per step, d steps at
+        # most at a prime level
         import monodromy.torsion as torsion
 
         calls = []
@@ -385,11 +390,13 @@ class TestLevelStructureCriterion:
         monkeypatch.setattr(torsion, "orthogonal_complement",
                             lambda s: calls.append(s) or real(s))
         tau = block_sum(list(blocks))
-        v = level_structure_criterion(classify(tau), n)
+        g = classify(tau)
+        v = level_structure_criterion(g, n)
+        assert triple(v) == (True, True, True)
+        assert calls == []
+        h = extend_to_maximal_isotropic(g.fixed_at_level(n))
         assert len(calls) <= len(blocks) + 2
         monkeypatch.undo()
-        h = v.witness
-        assert triple(v) == (True, True, True)
         assert h.order == n**3
         assert fixes_pointwise(tau, h)
         assert h == orthogonal_complement(h)
@@ -419,10 +426,12 @@ class TestExceptionalCriterion:
 
 class TestQuarticSemistability:
     def test_rot4(self):
-        v = quartic_semistability_check(classify(ROT4, 3))
+        g = classify(ROT4, 3)
+        v = quartic_semistability_check(g)
         assert v.criterion == "quartic-semistability"
         assert triple(v) == (True, True, True)
-        assert v.witness.gens.to_lists() == [[1, 1]]
+        assert v.witness is None
+        assert extend_to_maximal_isotropic(g.fixed_at_level(2)).gens.to_lists() == [[1, 1]]
 
     def test_rot6_hypothesis_fails(self):
         with pytest.raises(HypothesisNotMet):
@@ -513,28 +522,27 @@ class TestPurelyAdditiveCriteria:
 
 
 class TestGeneratorMemo:
-    def test_fixed_subgroup_computed_once_per_level_and_polarization(self):
+    def test_fixed_subgroup_computed_once_per_level(self):
         g = classify(block_sum([MINUS, SHEAR]))
         assert g.fixed_at_level(4) is g.fixed_at_level(4)
         assert g.fixed_at_level(4) == fixed_subgroup(g.matrix, standard_module(4, 2))
-        pol = scalar_polarization(2, 3)
-        induced = g.fixed_at_level(4, pol)
-        assert induced is g.fixed_at_level(4, pol)
-        assert induced == fixed_subgroup(
-            g.matrix, induced_pairing(standard_module(4, 2), pol)
-        )
-        assert induced.module != g.fixed_at_level(4).module
+        assert g.fixed_at_level(4) is not g.fixed_at_level(2)
+        assert list(g.__dict__["_fixed"]) == [4, 2]
 
     def test_fixed_maximal_isotropic_matches_direct_extension(self):
+        # the extension of the memoized FIX is the one of a fresh kernel,
+        # and it is a fixed maximal isotropic subgroup
         g = classify(block_sum([MINUS, SHEAR]))
         fix = fixed_subgroup(g.matrix, standard_module(2, 2))
-        assert g.fixed_maximal_isotropic(2) == extend_to_maximal_isotropic(fix)
-        assert g.fixed_maximal_isotropic(2) is g.fixed_maximal_isotropic(2)
-        assert classify(ROT4).fixed_maximal_isotropic(5) is None
+        assert g.fixes_maximal_isotropic(2)
+        h = extend_to_maximal_isotropic(g.fixed_at_level(2))
+        assert h == extend_to_maximal_isotropic(fix)
+        assert h == orthogonal_complement(h) and fixes_pointwise(g.matrix, h)
+        assert not classify(ROT4).fixes_maximal_isotropic(5)
 
     def test_fixed_perp_inside_has_one_home(self, monkeypatch):
-        # FIX-perp <= FIX is read off (tau - I)^2 mod n, so a tau without
-        # a fixed maximal isotropic subgroup takes no orthogonal complement
+        # FIX-perp <= FIX is read off (tau - I)^2 mod n, so asking takes
+        # no orthogonal complement, whatever the answer
         import monodromy.inertia as inertia
         import monodromy.torsion as torsion
 
@@ -546,7 +554,8 @@ class TestGeneratorMemo:
         for tau in (ROT4, ROT6, block_sum([MINUS, SHEAR])):
             g = classify(tau)
             assert not witness_exists(g, 5)
-            assert g.fixed_maximal_isotropic(5) is None
+            assert not g.fixes_maximal_isotropic(5)
+        assert classify(SHEAR).fixes_maximal_isotropic(5)
         assert calls == []
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -558,7 +567,10 @@ class TestGeneratorMemo:
                 fix = fixed_subgroup(tau, standard_module(n, d))
                 expected = orthogonal_complement(fix).is_subgroup_of(fix)
                 assert witness_exists(g, n) == expected
-                assert (g.fixed_maximal_isotropic(n) is not None) == expected
+                assert g.fixes_maximal_isotropic(n) == expected
+                if expected:
+                    h = extend_to_maximal_isotropic(g.fixed_at_level(n))
+                    assert h == orthogonal_complement(h) and h.is_subgroup_of(fix)
 
     def test_square_test_matches_the_complement_under_invariant_polarizations(self):
         # a block sum acts on coordinates (i, d + i) block by block, so it
@@ -574,11 +586,11 @@ class TestGeneratorMemo:
                 for n in range(2, 8):
                     if n % k == 0:
                         continue
-                    fix = g.fixed_at_level(n, pol)
+                    fix = fixed_subgroup(tau, induced_pairing(g.module(n), pol))
                     expected = orthogonal_complement(fix).is_subgroup_of(fix)
-                    h = g.fixed_maximal_isotropic(n, pol)
-                    assert (h is not None) == expected
-                    if h is not None:
+                    assert g.fixes_maximal_isotropic(n, pol) == expected
+                    if expected:
+                        h = extend_to_maximal_isotropic(fix)
                         assert h == orthogonal_complement(h)
                         assert h.is_subgroup_of(fix)
                     checked += expected
@@ -592,7 +604,7 @@ class TestGeneratorMemo:
         ]))
         g = classify(tau)
         assert not pol.preserved_by(tau)
-        for call in (lambda: g.fixed_maximal_isotropic(3, pol),
+        for call in (lambda: g.fixes_maximal_isotropic(3, pol),
                      lambda: level_structure_criterion(g, 3, pol)):
             with pytest.raises(InertiaError) as caught:
                 call()
@@ -603,7 +615,7 @@ class TestGeneratorMemo:
         before = (repr(g), hash(g))
         g.displacement_divisors
         g.fixed_at_level(2)
-        g.fixed_maximal_isotropic(2)
+        g.fixes_maximal_isotropic(2)
         assert (repr(g), hash(g)) == before
         assert g == classify(ROT4, 3)
 
@@ -620,7 +632,8 @@ class TestGeneratorMemo:
 
     def test_trivial_torsion_has_one_home(self, monkeypatch):
         # Raynaud's hypothesis, the elliptic clauses, Neron mode "a" and
-        # its X_2 <= X_4(F) and X_4(F) = X_4 clauses all ask the generator
+        # its X_2 <= X_4(F) and X_4(F) = X_4 clauses, and the good-reduction
+        # clauses at levels 2 and 3 all ask the generator
         asked = []
         real = InertiaGenerator.fixes_all_torsion
         monkeypatch.setattr(InertiaGenerator, "fixes_all_torsion",
@@ -633,6 +646,12 @@ class TestGeneratorMemo:
         asked.clear()
         verify_neron4(g, "a")
         assert set(asked) == {2, 4}
+        asked.clear()
+        verify_neron2(g)
+        assert asked == [2]
+        asked.clear()
+        verify_neron3(classify(ROT3, 5))
+        assert asked == [3]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_fixed_subgroup_from_one_smith_form(self, d):
@@ -678,17 +697,29 @@ class TestGeneratorMemo:
                     assert split_fixed_vectors(m) == brute_fixed_vectors(m)
 
     def test_fixed_subgroup_under_non_principal_polarization(self):
-        # diag(P, P^T) keeps the induced form alternating; degree 4
+        # diag(P, P^T) keeps the induced form alternating; degree 4, so
+        # the induced pairing is degenerate exactly at even levels
         pol = Polarization(IntMatrix([
             [1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 1, 2],
         ]))
         for tau in catalog_matrices(2)[::4]:
             g = classify(tau)
             for n in (2, 3, 4, 5, 6, 12):
-                module = induced_pairing(standard_module(n, 2), pol)
-                fix = g.fixed_at_level(n, pol)
-                assert fix.module == module
-                assert fix == fixed_subgroup(tau, module)
+                module = induced_pairing(g.module(n), pol)
+                fix = fixed_subgroup(tau, module)
+                # the fixed points do not depend on the pairing
+                assert fix.gens == g.fixed_at_level(n).gens
+                assert module.is_nondegenerate() == (n % 2 == 1)
+                if not module.is_nondegenerate():
+                    with pytest.raises(DegreeObstruction):
+                        g.fixes_maximal_isotropic(n, pol)
+                elif pol.preserved_by(tau):
+                    expected = orthogonal_complement(fix).is_subgroup_of(fix)
+                    assert g.fixes_maximal_isotropic(n, pol) == expected
+                else:
+                    with pytest.raises(InertiaError) as caught:
+                        g.fixes_maximal_isotropic(n, pol)
+                    assert type(caught.value) is InertiaError
 
     def test_fixed_generator_check_survives_optimize(self):
         # zero Smith divisors claim that every column of V is fixed;
@@ -699,7 +730,7 @@ class TestGeneratorMemo:
             "real = m.smith_normal_form\n"
             "def fake(a):\n"
             "    snf = real(a)\n"
-            "    return m.SmithDecomposition(snf.u, m.IntMatrix.zeros(a.rows, a.cols), snf.v)\n"
+            "    return m.SmithDecomposition(snf.u, a - a, snf.v)\n"
             "i.smith_normal_form = fake\n"
             "i.classify(m.IntMatrix([[-1, 0], [0, -1]])).fixed_at_level(4)\n"
         )

@@ -119,8 +119,8 @@ class TestIntMatrix:
 
     @pytest.mark.parametrize("make", [
         lambda: IntMatrix.identity(0),
-        lambda: IntMatrix.zeros(0, 2),
-        lambda: IntMatrix.zeros(2, 0),
+        lambda: IntMatrix([]),
+        lambda: IntMatrix([[], []]),
     ])
     def test_empty_shapes_rejected(self, make):
         with pytest.raises(DimensionError):
@@ -131,7 +131,7 @@ class TestIntMatrix:
         for _ in range(50):
             a, b = rnd_int_matrix(rng, 2, 3), rnd_int_matrix(rng, 3, 2)
             for result in (a @ b, a.transpose(), -a, a - a, a + a, 3 * a,
-                           IntMatrix.identity(3), IntMatrix.zeros(2, 3)):
+                           IntMatrix.identity(3)):
                 assert_validated(result)
             assert (a @ b).to_lists() == naive_product(a.data, b.data)
 
@@ -155,7 +155,7 @@ class TestIntMatrix:
 
 
 class TestSizes:
-    """identity and zeros take their sizes by the rule for entries:
+    """identity takes its size by the rule for entries:
     bool, float and str raise MatrixError, __index__ integers pass."""
 
     @pytest.mark.parametrize("size,kind", [
@@ -165,8 +165,6 @@ class TestSizes:
         match = f"matrix size must be an integer, not {kind}"
         for make in (
             lambda: IntMatrix.identity(size),
-            lambda: IntMatrix.zeros(size, 2),
-            lambda: IntMatrix.zeros(2, size),
             lambda: ModMatrix.identity(size, 5),
         ):
             with pytest.raises(MatrixError, match=match):
@@ -184,7 +182,6 @@ class TestSizes:
                 return 2
 
         assert IntMatrix.identity(Two()) == IntMatrix.identity(2)
-        assert IntMatrix.zeros(Two(), Two()) == IntMatrix.zeros(2, 2)
         i = ModMatrix.identity(Two(), 5)
         assert i == ModMatrix.identity(2, 5)
         assert type(i.rows) is int and type(i.cols) is int

@@ -19,7 +19,7 @@ from monodromy.scenarios import HypothesisInstance, Scenario
 from monodromy.suites import SuiteReport
 from monodromy.torsion import Subgroup, TorsionModule, induced_pairing
 
-from _oracles import RECORD_DECLARATIONS, dataclass_twin
+from _oracles import RECORD_DECLARATIONS, dataclass_twin, full_subgroup
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -40,7 +40,7 @@ def _samples():
     minus = IntMatrix([[-1, 0], [0, -1]])
     ident = IntMatrix([[1, 0], [0, 1]])
     module = standard_module(5, 1)
-    full, trivial = module.full_subgroup(), module.subgroup([])
+    full, trivial = full_subgroup(module), module.subgroup([])
     return {
         "IntPoly": [((1, 2),), ((1, 2),), ((),), ((0, 1),)],
         "SmithDecomposition": [(ident, shear, ident), (ident, shear2, ident),

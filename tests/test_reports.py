@@ -3,6 +3,7 @@ import pytest
 from monodromy import (
     InertiaError,
     IntMatrix,
+    Polarization,
     Scenario,
     build_report,
     canonical_json,
@@ -136,3 +137,54 @@ class TestRenderText:
         text = render_text(build_report(SHEAR_P7))
         assert "ranks:             not potentially good" in text
         assert "minimal degree:    1" in text
+
+
+class TestNoIsotropicSubgroupBuilt:
+    def test_reports_build_no_isotropic_extension(self, monkeypatch):
+        # the level-structure, quartic and Neron entry checks ask
+        # whether a fixed maximal isotropic subgroup exists, so no report
+        # builds one, with or without a polarization
+        import sys
+
+        import monodromy.inertia as inertia
+        import monodromy.torsion as torsion
+
+        real = torsion.extend_to_maximal_isotropic
+        calls = []
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("monodromy")
+                    and vars(module).get("extend_to_maximal_isotropic") is real):
+                monkeypatch.setattr(module, "extend_to_maximal_isotropic",
+                                    lambda s: calls.append(s) or real(s))
+        # the exhaustive witness scan takes seconds per semistable d = 2
+        # report at level 6; no verdict reads its subgroup, only whether
+        # there is one, so at d = 2 the image of tau - I (the least
+        # witness) stands in for it.  At d = 1 the scan itself runs.
+        scan = inertia.find_witness_subgroup
+
+        def witness(gen, n):
+            if gen.dimension == 1:
+                return scan(gen, n)
+            if not inertia.witness_exists(gen, n):
+                return None
+            image = (gen.matrix - IntMatrix.identity(gen.rank)).transpose()
+            return gen.module(n).subgroup(image.reduce_mod(n).data)
+
+        monkeypatch.setattr(inertia, "find_witness_subgroup", witness)
+        polarizations = {
+            1: Polarization(IntMatrix([[2, 0], [0, 2]])),
+            2: Polarization(IntMatrix([
+                [2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1],
+            ])),
+        }
+        reports = 0
+        for d in (1, 2):
+            pol = polarizations[d]
+            for tau in catalog_matrices(d):
+                assert pol.preserved_by(tau)
+                for scenario in (Scenario(d, 5, tau), Scenario(d, 5, tau, pol)):
+                    for level in (None, 4):
+                        build_report(scenario, level)
+                        reports += 1
+        assert calls == []
+        assert reports == 4 * (len(catalog_matrices(1)) + len(catalog_matrices(2)))

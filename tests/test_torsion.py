@@ -26,6 +26,7 @@ from monodromy.torsion import _complement_gens, subgroup_count_estimate
 
 from _oracles import (
     brute_fixed_vectors,
+    full_subgroup,
     brute_orthogonal,
     brute_subgroups,
     contains,
@@ -108,7 +109,7 @@ class TestSubgroup:
     def test_trivial_and_full(self):
         m = standard_module(4, 1)
         t = m.subgroup([])
-        f = m.full_subgroup()
+        f = full_subgroup(m)
         assert t.order == 1
         assert subgroup_structure(t) == ()
         assert f.order == 16
@@ -139,8 +140,8 @@ class TestSubgroup:
                 outcomes.add(expected)
         assert outcomes == {True, False}
         with pytest.raises(TorsionError):
-            standard_module(2, 1).full_subgroup().is_subgroup_of(
-                standard_module(3, 1).full_subgroup())
+            full_subgroup(standard_module(2, 1)).is_subgroup_of(
+                full_subgroup(standard_module(3, 1)))
 
     def test_contains(self):
         m = standard_module(6, 1)
@@ -254,14 +255,14 @@ class TestSubgroup:
     def test_apply_respects_modulus(self):
         m = standard_module(5, 1)
         with pytest.raises(TorsionError):
-            m.full_subgroup().apply(ModMatrix(7, [[1, 0], [0, 1]]))
+            full_subgroup(m).apply(ModMatrix(7, [[1, 0], [0, 1]]))
 
 
 class TestOrthogonalComplement:
     def test_extremes(self):
         m = standard_module(9, 1)
-        assert orthogonal_complement(m.subgroup([])) == m.full_subgroup()
-        assert orthogonal_complement(m.full_subgroup()) == m.subgroup([])
+        assert orthogonal_complement(m.subgroup([])) == full_subgroup(m)
+        assert orthogonal_complement(full_subgroup(m)) == m.subgroup([])
 
     def test_matches_brute_force(self):
         rng = random.Random(23)
@@ -306,7 +307,7 @@ class TestIsotropic:
 
     def test_full_not_isotropic(self):
         m = standard_module(5, 1)
-        assert not is_isotropic(m.full_subgroup())
+        assert not is_isotropic(full_subgroup(m))
 
     def test_small_isotropic_not_maximal(self):
         m = standard_module(4, 1)
@@ -334,7 +335,7 @@ class TestFixedSubgroup:
     def test_identity_fixes_everything(self):
         m = standard_module(6, 1)
         f = fixed_subgroup(IntMatrix.identity(2), m)
-        assert f == m.full_subgroup()
+        assert f == full_subgroup(m)
 
     def test_matches_brute_force(self):
         rng = random.Random(31)
@@ -352,7 +353,7 @@ class TestFixedSubgroup:
         minus = ModMatrix(4, [[-1, 0], [0, -1]])
         two_torsion = m.subgroup([[2, 0], [0, 2]])
         assert fixes_pointwise(minus, two_torsion)
-        assert not fixes_pointwise(minus, m.full_subgroup())
+        assert not fixes_pointwise(minus, full_subgroup(m))
         assert fixes_pointwise(minus, m.subgroup([]))
 
 
@@ -429,9 +430,9 @@ class TestEnumeration:
 class TestMaximalIsotropicExtension:
     def test_full_module_canonical_witnesses(self):
         # each step adjoins the first Howell row of H-perp outside H
-        h1 = extend_to_maximal_isotropic(standard_module(5, 1).full_subgroup())
+        h1 = extend_to_maximal_isotropic(full_subgroup(standard_module(5, 1)))
         assert h1.gens.to_lists() == [[1, 0]]
-        h2 = extend_to_maximal_isotropic(standard_module(5, 2).full_subgroup())
+        h2 = extend_to_maximal_isotropic(full_subgroup(standard_module(5, 2)))
         assert h2.gens.to_lists() == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
     def test_extension_contract(self):
@@ -450,7 +451,7 @@ class TestMaximalIsotropicExtension:
 
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (6, 2), (5, 3)])
     def test_full_module_matches_element_set_greedy(self, n, d):
-        s = standard_module(n, d).full_subgroup()
+        s = full_subgroup(standard_module(n, d))
         assert is_isotropic_extension(s, extend_to_maximal_isotropic(s))
 
     def test_fixed_subgroups_match_element_set_greedy(self):
@@ -489,7 +490,7 @@ class TestMaximalIsotropicExtension:
     def test_degenerate_module_rejected(self):
         m = TorsionModule(4, 1, ModMatrix(4, [[0, 2], [-2, 0]]))
         with pytest.raises(DegeneratePairingError):
-            extend_to_maximal_isotropic(m.full_subgroup())
+            extend_to_maximal_isotropic(full_subgroup(m))
 
 
 class TestPolarization:
