@@ -23,7 +23,13 @@ from .inertia import (
     require_tame,
     semistable_after_extension,
 )
-from .matrices import IntMatrix, ModMatrix, exterior_power, standard_symplectic_form
+from .matrices import (
+    IntMatrix,
+    ModMatrix,
+    _check_modulus,
+    exterior_power,
+    standard_symplectic_form,
+)
 
 
 class PreconditionExcluded(InertiaError):
@@ -61,10 +67,7 @@ def cohomology_action(gen: InertiaGenerator, k: int, n: int = 0) -> CohomologyAc
     """
     if k < 0 or k > gen.rank:
         raise InertiaError(f"degree {k} outside 0..{gen.rank}")
-    if n < 0:
-        raise InertiaError("modulus must be >= 0")
-    if n > 0:
-        require_tame(gen.residue_char, n)
+    _require_coefficients(gen, n)
     j = standard_symplectic_form(gen.dimension)
     base_z = -(j @ gen.matrix @ j)
     if n == 0:
@@ -74,22 +77,39 @@ def cohomology_action(gen: InertiaGenerator, k: int, n: int = 0) -> CohomologyAc
     return CohomologyAction(k, n, base, exterior_power(base, k))
 
 
+def _require_coefficients(gen: InertiaGenerator, n: int) -> None:
+    """Refuse a negative modulus, or a positive one that shares a
+    factor with the residue characteristic."""
+    if n < 0:
+        raise InertiaError("modulus must be >= 0")
+    if n > 0:
+        require_tame(gen.residue_char, n)
+
+
 def hk_vanishing(gen: InertiaGenerator, k: int, n: int) -> bool:
     """Whether (A_k - I)^(k+1) vanishes mod n (n = 0: over Z), A_k the
     degree-k cohomology action.
 
+    Taking k x k minors commutes with reduction mod n, so the action
+    mod n is the integral one reduced, and so is the power.  One
+    content per degree, c_k = content((A_k - I)^(k+1)) over Z, kept in
+    the generator's __dict__, decides every level: vanishing mod n iff
+    n divides c_k, and over Z iff c_k = 0.
+
     Raises:
-      InertiaError: k outside the open range 0 < k < 2d.
+      InertiaError: k outside the open range 0 < k < 2d, or n < 0.
+      WildRamification: n > 0 sharing a factor with the residue char.
     """
     if not 0 < k < gen.rank:
         raise InertiaError(f"degree must satisfy 0 < k < {gen.rank}")
-    action = cohomology_action(gen, k, n)
-    a = action.matrix
-    if isinstance(a, ModMatrix):
-        ident: Union[IntMatrix, ModMatrix] = ModMatrix.identity(a.rows, n)
-    else:
-        ident = IntMatrix.identity(a.rows)
-    return ((a - ident) ** (k + 1)).is_zero()
+    _require_coefficients(gen, n)
+    contents = gen.__dict__.setdefault("_vanishing_contents", {})
+    if k not in contents:
+        a = cohomology_action(gen, k).matrix
+        contents[k] = ((a - IntMatrix.identity(a.rows)) ** (k + 1)).content()
+    if n == 0:
+        return contents[k] == 0
+    return contents[k] % _check_modulus(n) == 0
 
 
 def higher_cohomology_criterion(

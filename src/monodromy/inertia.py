@@ -27,6 +27,7 @@ from .matrices import (
     IntMatrix,
     ModMatrix,
     SmithDecomposition,
+    _check_modulus,
     _smith_kernel_gens,
     char_poly,
     howell_form,
@@ -105,11 +106,13 @@ class InertiaGenerator(Record):
     nilpotency index of tau - I when tau is unipotent, with the
     identity assigned index 0, and None otherwise.
 
-    Data that several criteria read off tau (the Smith form of tau - I,
-    (tau - I)^2, the fixed subgroup FIX per level, and the Neron
-    invariants) is computed on first use and kept in the instance
-    __dict__.  It is not a field, so equality, hashing and repr are
-    unchanged, and it goes away with the instance.
+    Data that several criteria read off tau is computed on first use
+    and kept in the instance __dict__: the Smith form of tau - I, also
+    once checked (checked_smith_form); the content of (tau - I)^2
+    (displacement_content); the fixed subgroup FIX per level; the Neron
+    invariants; and, per cohomology degree k, the content of
+    (A_k - I)^(k+1).  None of it is a field, so equality, hashing and
+    repr are unchanged, and it goes away with the instance.
     """
 
     _fields = ("matrix", "residue_char", "dimension", "factor_orders",
@@ -135,14 +138,47 @@ class InertiaGenerator(Record):
         return standard_module(n, self.dimension)
 
     @cached_property
-    def displacement_square(self) -> IntMatrix:
-        """(tau - I)^2 over Z."""
-        return _square_of_displacement(self.matrix)
+    def _displacement(self) -> IntMatrix:
+        """tau - I over Z."""
+        return self.matrix - IntMatrix.identity(self.rank)
+
+    @cached_property
+    def displacement_content(self) -> int:
+        """The gcd of the entries of (tau - I)^2 over Z: 0 exactly when
+        tau is semistable, and (tau - I)^2 = 0 mod n exactly when n
+        divides it."""
+        return (self._displacement @ self._displacement).content()
 
     @cached_property
     def _displacement_snf(self) -> SmithDecomposition:
         """U (tau - I) V = D over Z, the one Smith form every level reads."""
-        return smith_normal_form(self.matrix - IntMatrix.identity(self.rank))
+        return smith_normal_form(self._displacement)
+
+    @cached_property
+    def checked_smith_form(self) -> SmithDecomposition:
+        """The Smith form above, checked once in every interpreter mode:
+        the divisor d_i divides column i of (tau - I) V (so that column
+        is zero when d_i = 0), and |det V| = 1.
+
+        That settles every level n at once.  Column i of V times
+        n / gcd(d_i, n), the Smith kernel generator, is fixed by tau
+        mod n, and V is an automorphism of (Z/n)^2d, so the generators
+        span prod gcd(d_i, n) points.
+        """
+        snf = self._displacement_snf
+        rows = self._displacement.data
+        mul = operator.mul
+        for i, (q, col) in enumerate(zip(snf.divisors, zip(*snf.v.data))):
+            for row in rows:
+                x = sum(map(mul, row, col))
+                if x % q if q else x:
+                    raise AssertionError(
+                        f"Smith divisor {q} does not divide column {i} of (tau - I) V"
+                    )
+        det = snf.v.det()
+        if abs(det) != 1:
+            raise AssertionError(f"Smith transform V has determinant {det}, not +-1")
+        return snf
 
     @cached_property
     def displacement_divisors(self) -> Tuple[int, ...]:
@@ -167,25 +203,17 @@ class InertiaGenerator(Record):
     def fixed_at_level(self, n: int) -> Subgroup:
         """Points of the level-n module that tau fixes.
 
-        Read off the one Smith form of tau - I (see
-        matrices._smith_kernel_gens).  Its Howell form is canonical, so
-        the subgroup equals the one a fresh kernel computation mod n
-        gives.  Every generator is checked against tau in every
-        interpreter mode.
+        Generated by the kernel generators of the checked Smith form
+        (see matrices._smith_kernel_gens).  Its Howell form is
+        canonical, so the subgroup equals the one a fresh kernel
+        computation mod n gives.  No report reads it.
         """
         if n not in self._fixed:
-            self._fixed[n] = Subgroup(self.module(n), self._fixed_gens(n))
+            module = self.module(n)
+            gens = _smith_kernel_gens(self.checked_smith_form, n)
+            self._fixed[n] = Subgroup(
+                module, howell_form(ModMatrix._trusted(n, gens, self.rank)))
         return self._fixed[n]
-
-    def _fixed_gens(self, n: int) -> ModMatrix:
-        gens = _smith_kernel_gens(self._displacement_snf, n)
-        mul = operator.mul
-        for g in gens:
-            if any((sum(map(mul, row, g)) - x) % n for row, x in zip(self.matrix.data, g)):
-                raise AssertionError(
-                    f"Smith generator {list(g)} is not fixed by tau mod {n}"
-                )
-        return howell_form(ModMatrix._trusted(n, gens, self.rank))
 
     def fixes_maximal_isotropic(self, n: int, pol: Optional[Polarization] = None) -> bool:
         """Whether tau fixes some maximal isotropic subgroup of the
@@ -196,13 +224,14 @@ class InertiaGenerator(Record):
         iff FIX-perp <= FIX, and then the isotropic extension of FIX
         (torsion.extend_to_maximal_isotropic) is one.  tau preserves
         the pairing, so FIX-perp = im(tau - I) and the containment is
-        (tau - I)^2 = 0 mod n.
+        (tau - I)^2 = 0 mod n: n divides displacement_content.
 
         Raises:
           TorsionError: J P is not alternating mod n.
           DegreeObstruction: induced pairing degenerate (polarization
             degree shares a factor with n).
           InertiaError: tau does not preserve J P.
+          MatrixError: n is not an integer >= 1.
         """
         if pol is not None:
             if not induced_pairing(self.module(n), pol).is_nondegenerate():
@@ -211,7 +240,7 @@ class InertiaGenerator(Record):
                 )
             if not pol.preserved_by(self.matrix):
                 raise InertiaError("tau does not preserve the polarization form J P")
-        return self.displacement_square.reduce_mod(n).is_zero()
+        return self.displacement_content % _check_modulus(n) == 0
 
 
 def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
@@ -310,7 +339,7 @@ def _square_of_displacement(a: IntMatrix) -> IntMatrix:
 
 def galois_criterion(gen: InertiaGenerator) -> bool:
     """Semistability itself: (tau - I)^2 = 0 over the integers."""
-    return gen.displacement_square.is_zero()
+    return gen.displacement_content == 0
 
 
 def square_zero_mod_n(gen: InertiaGenerator, n: int) -> bool:

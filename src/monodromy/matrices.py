@@ -187,6 +187,11 @@ class IntMatrix:
             raise DimensionError("determinant needs a square matrix")
         return _det_bareiss(self.data)
 
+    def content(self) -> int:
+        """The gcd of the entries, 0 for the zero matrix: the matrix
+        vanishes mod n exactly when n divides it."""
+        return math.gcd(*(x for row in self.data for x in row))
+
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("shape mismatch")

@@ -114,8 +114,8 @@ def build_report(scenario: Scenario, level: Optional[int] = None) -> Dict:
     for n in torsion_levels:
         if not is_tame(p, n):
             continue
-        # neron_torsion cross-checks the Smith count against the fixed
-        # subgroup; with infinite order the Smith divisors give the count
+        # neron_torsion asserts the kernel-count identity against the
+        # Neron invariants; with infinite order the divisors give the count
         structure = gen.fixed_structure(n)
         report["torsion"][str(n)] = {
             "fixed_order": (neron_torsion(gen, n).fixed_order if gen.potentially_good

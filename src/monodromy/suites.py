@@ -355,11 +355,13 @@ def _build_torsion_identity(trials: int, seed: int, d_max: int) -> List[Unit]:
         failures = []
         for n in _IDENTITY_LEVELS:
             try:
-                # neron_torsion asserts the identity internally; the
-                # fixed subgroup read off the Smith form of tau - I is
-                # also checked against a kernel computed mod n
-                neron_torsion(gen, n)
-                if gen.fixed_at_level(n) != fixed_subgroup(tau, gen.module(n)):
+                # neron_torsion asserts the identity internally; its
+                # order and the fixed subgroup read off the Smith form
+                # of tau - I are also checked against a kernel
+                # computed mod n
+                order = neron_torsion(gen, n).fixed_order
+                fresh = fixed_subgroup(tau, gen.module(n))
+                if gen.fixed_at_level(n) != fresh or order != fresh.order:
                     failures.append(f"fixed order drifted at n={n} on {tag}")
             except AssertionError:
                 failures.append(f"kernel-count identity failed at n={n} on {tag}")
@@ -576,9 +578,12 @@ def _check_minus_identity_vanishing(d: int) -> Tuple[int, List[str]]:
 
 def _build_unipotent_vanishing(trials: int, seed: int, d_max: int) -> List[Unit]:
     units: List[Unit] = []
+    semistable_pools: Dict[int, List[IntMatrix]] = {}
     for d in range(1, d_max + 1):
+        pool = semistable_pools[d] = []
         for i, tau in enumerate(catalog_matrices(d)):
             if galois_criterion(classify(tau)):
+                pool.append(tau)
                 units.append(
                     lambda tau=tau, d=d, i=i: _check_unipotent_vanishing(
                         tau, f"catalog d={d} #{i} tau={_fmt(tau)}"
@@ -588,11 +593,8 @@ def _build_unipotent_vanishing(trials: int, seed: int, d_max: int) -> List[Unit]
 
     def random_unit(index: int) -> Tuple[int, List[str]]:
         rng = _trial_rng(seed, index)
-        d = rng.randint(1, d_max)
-        semistable_pool = [
-            tau for tau in catalog_matrices(d) if galois_criterion(classify(tau))
-        ]
-        base = semistable_pool[rng.randrange(len(semistable_pool))]
+        pool = semistable_pools[rng.randint(1, d_max)]
+        base = pool[rng.randrange(len(pool))]
         tau = random_symplectic_conjugate(base, rng)[0]
         return _check_unipotent_vanishing(tau, f"trial {index} tau={_fmt(tau)}")
 

@@ -5,7 +5,9 @@ vector scans, closure by repeated addition.  Slow is fine; these only
 run on small inputs, and they share no code paths with the package.
 The exceptions are subgroup_structure, contains and elements, which
 stand in for methods the package no longer carries: they are built on
-package internals, and the tests check each against a naive reference.
+package internals, and the tests check each against a naive reference;
+and matrix_hk_vanishing, the earlier computation of cohomology
+vanishing on the degree-k action itself at each level.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ from monodromy import (
     ModMatrix,
     Polarization,
     TorsionError,
+    cohomology_action,
     orthogonal_complement,
     smith_normal_form,
 )
@@ -114,6 +117,17 @@ def two_torsion_inside(module):
     """The subgroup {x : 2x = 0} of a level-4 module, spanned by 2 e_i."""
     rank = module.rank
     return module.subgroup([[2 * (j == i) for j in range(rank)] for i in range(rank)])
+
+
+def matrix_hk_vanishing(gen, k: int, n: int) -> bool:
+    """Whether (A_k - I)^(k+1) = 0 mod n (n = 0: over Z), with A_k the
+    degree-k action computed mod n and powered mod n."""
+    a = cohomology_action(gen, k, n).matrix
+    if isinstance(a, ModMatrix):
+        ident = ModMatrix.identity(a.rows, n)
+    else:
+        ident = IntMatrix.identity(a.rows)
+    return ((a - ident) ** (k + 1)).is_zero()
 
 
 def leibniz_char_poly(a: IntMatrix) -> IntPoly:

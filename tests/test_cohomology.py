@@ -15,7 +15,7 @@ from monodromy import (
 )
 from monodromy.catalog import block_sum, catalog_matrices, random_symplectic_conjugate
 
-from _oracles import inverse_unimodular
+from _oracles import inverse_unimodular, matrix_hk_vanishing
 
 I2 = IntMatrix.identity(2)
 SHEAR = IntMatrix([[1, 1], [0, 1]])
@@ -94,6 +94,32 @@ class TestHkVanishing:
             hk_vanishing(g, 0, 5)
         with pytest.raises(InertiaError):
             hk_vanishing(g, 4, 5)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_content_per_degree_matches_the_action_mod_n(self, d):
+        # the content of (A_k - I)^(k+1) over Z against the power of
+        # the action reduced mod n, at every level and over Z
+        for tau in catalog_matrices(d):
+            g = classify(tau)
+            for k in range(1, 2 * d):
+                for n in (0, *range(2, 31)):
+                    assert hk_vanishing(g, k, n) == matrix_hk_vanishing(g, k, n)
+            assert sorted(g.__dict__["_vanishing_contents"]) == list(range(1, 2 * d))
+
+    def test_argument_checks_keep_their_order(self):
+        # the degree range first, then a negative modulus, then a wild one
+        g = classify(SHEAR_I, 5)
+        for k, n, error, message in (
+            (0, -1, InertiaError, "degree must satisfy 0 < k < 4"),
+            (1, -1, InertiaError, "modulus must be >= 0"),
+            (1, 10, WildRamification,
+             "level 10 shares a factor with the residue characteristic 5"),
+        ):
+            with pytest.raises(error) as caught:
+                hk_vanishing(g, k, n)
+            assert type(caught.value) is error
+            assert str(caught.value) == message
+        assert "_vanishing_contents" not in g.__dict__
 
 
 class TestHigherCohomologyCriterion:

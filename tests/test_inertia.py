@@ -39,7 +39,7 @@ from monodromy.inertia import (
     is_tame,
     require_tame,
 )
-from monodromy.matrices import is_unipotent, smith_normal_form
+from monodromy.matrices import MatrixError, is_unipotent, smith_normal_form
 from monodromy.neron import neron_torsion, verify_neron2, verify_neron3, verify_neron4
 from monodromy.torsion import (
     TorsionError,
@@ -215,6 +215,39 @@ class TestSemistability:
         assert square_zero_mod_n(g, 4)
         assert not square_zero_mod_n(g, 3)
         assert not square_zero_mod_n(g, 5)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_displacement_content_decides_every_level(self, d):
+        # one gcd per generator; the reference is the square taken by
+        # naive products and reduced entry by entry
+        for tau in catalog_matrices(d):
+            g = classify(tau)
+            disp = (tau - IntMatrix.identity(2 * d)).data
+            square = naive_product(disp, disp)
+            assert galois_criterion(g) == (not any(map(any, square)))
+            for n in range(1, 31):
+                expected = all(x % n == 0 for row in square for x in row)
+                assert g.fixes_maximal_isotropic(n) == expected
+                assert (g.displacement_content % n == 0) == expected
+
+    def test_levels_below_one_keep_their_errors(self):
+        # a bare remainder by the content would divide by zero at n = 0
+        # and answer at n = -3; both levels are refused as before
+        g = classify(SHEAR)
+        for n in (0, -3):
+            for call, error, message in (
+                (lambda: g.fixes_maximal_isotropic(n), MatrixError,
+                 "modulus must be >= 1"),
+                (lambda: square_zero_mod_n(g, n), InertiaError, "level must be >= 1"),
+                (lambda: g.fixes_maximal_isotropic(n, scalar_polarization(1, 2)),
+                 TorsionError, "level must be >= 1"),
+            ):
+                with pytest.raises(error) as caught:
+                    call()
+                assert type(caught.value) is error
+                assert str(caught.value) == message
+        with pytest.raises(MatrixError, match="not float"):
+            g.fixes_maximal_isotropic(2.0)
 
     def test_square_zero_respects_wildness(self):
         g = classify(ROT3, 5)
@@ -722,25 +755,33 @@ class TestGeneratorMemo:
                     assert type(caught.value) is InertiaError
 
     def test_fixed_generator_check_survives_optimize(self):
-        # zero Smith divisors claim that every column of V is fixed;
-        # the explicit check must catch it with asserts stripped
-        code = (
-            "import monodromy.inertia as i, monodromy.matrices as m\n"
-            "assert False, 'assert statements must be stripped here'\n"
-            "real = m.smith_normal_form\n"
-            "def fake(a):\n"
-            "    snf = real(a)\n"
-            "    return m.SmithDecomposition(snf.u, a - a, snf.v)\n"
-            "i.smith_normal_form = fake\n"
-            "i.classify(m.IntMatrix([[-1, 0], [0, -1]])).fixed_at_level(4)\n"
-        )
-        proc = subprocess.run([sys.executable, "-O", "-c", code],
-                              env=dict(os.environ, PYTHONPATH=SRC),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        assert proc.stderr.rstrip().endswith(
-            "AssertionError: Smith generator [1, 0] is not fixed by tau mod 4"
-        )
+        # the Smith form every level reads is checked once per generator,
+        # and the check must fire with asserts stripped.  Zero divisors
+        # claim that every column of V is fixed; a doubled column of V
+        # keeps each column a multiple of its divisor but halves the
+        # points the kernel generators span (tau = -I, where V = I)
+        fakes = {
+            "m.SmithDecomposition(snf.u, a - a, snf.v)":
+                "AssertionError: Smith divisor 0 does not divide column 0 of (tau - I) V",
+            "m.SmithDecomposition(snf.u, snf.d, snf.v @ m.IntMatrix([[2, 0], [0, 1]]))":
+                "AssertionError: Smith transform V has determinant 2, not +-1",
+        }
+        for fake, message in fakes.items():
+            code = (
+                "import monodromy.inertia as i, monodromy.matrices as m\n"
+                "assert False, 'assert statements must be stripped here'\n"
+                "real = m.smith_normal_form\n"
+                "def fake(a):\n"
+                "    snf = real(a)\n"
+                f"    return {fake}\n"
+                "i.smith_normal_form = fake\n"
+                "i.classify(m.IntMatrix([[-1, 0], [0, -1]])).fixed_at_level(4)\n"
+            )
+            proc = subprocess.run([sys.executable, "-O", "-c", code],
+                                  env=dict(os.environ, PYTHONPATH=SRC),
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 1
+            assert proc.stderr.rstrip().endswith(message), proc.stderr
 
     def test_displacement_divisors(self):
         g = classify(block_sum([MINUS, I2]))

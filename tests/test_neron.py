@@ -19,6 +19,7 @@ from monodromy import (
     verify_neron4,
 )
 from monodromy.catalog import block_sum, catalog_matrices, random_symplectic_conjugate
+from monodromy.torsion import fixed_subgroup
 
 from _oracles import full_subgroup, two_torsion_inside
 
@@ -177,6 +178,19 @@ class TestNeronTorsion:
         rep = neron_torsion(classify(MINUS), 6)
         assert rep.fixed_order == 4
         assert rep.b_exponent is None
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_order_matches_a_fresh_kernel(self, d):
+        # the order read off the checked Smith form against the Howell
+        # order of a kernel computed mod n, with no fixed subgroup built
+        # on the way; every finite-order entry at d <= 2 and every fifth
+        # at d = 3
+        for tau in catalog_matrices(d, finite_only=True)[::1 if d < 3 else 5]:
+            g = classify(tau)
+            for n in range(2, 13):
+                fresh = fixed_subgroup(tau, g.module(n))
+                assert neron_torsion(g, n).fixed_order == fresh.order
+            assert "_fixed" not in g.__dict__
 
     def test_wild_level_rejected(self):
         with pytest.raises(WildRamification):

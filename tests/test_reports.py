@@ -142,33 +142,55 @@ class TestRenderText:
 class TestNoIsotropicSubgroupBuilt:
     def test_reports_build_no_isotropic_extension(self, monkeypatch):
         # the level-structure, quartic and Neron entry checks ask
-        # whether a fixed maximal isotropic subgroup exists, so no report
-        # builds one, with or without a polarization
+        # whether a fixed maximal isotropic subgroup exists, and the
+        # torsion table reads every order off the checked Smith form, so
+        # no report builds an isotropic extension, asks for a fixed
+        # subgroup or takes a Howell form outside the witness scan, with
+        # or without a polarization
         import sys
 
         import monodromy.inertia as inertia
+        import monodromy.matrices as matrices
         import monodromy.torsion as torsion
 
-        real = torsion.extend_to_maximal_isotropic
-        calls = []
+        extend = torsion.extend_to_maximal_isotropic
+        howell = matrices.howell_form
+        calls, howell_calls, fixed_calls, scanning = [], [], [], []
+
+        def counted_howell(a):
+            if not scanning:
+                howell_calls.append(a)
+            return howell(a)
+
         for module in list(sys.modules.values()):
-            if (getattr(module, "__name__", "").startswith("monodromy")
-                    and vars(module).get("extend_to_maximal_isotropic") is real):
+            if not getattr(module, "__name__", "").startswith("monodromy"):
+                continue
+            if vars(module).get("extend_to_maximal_isotropic") is extend:
                 monkeypatch.setattr(module, "extend_to_maximal_isotropic",
-                                    lambda s: calls.append(s) or real(s))
+                                    lambda s: calls.append(s) or extend(s))
+            if vars(module).get("howell_form") is howell:
+                monkeypatch.setattr(module, "howell_form", counted_howell)
+        fixed_at_level = inertia.InertiaGenerator.fixed_at_level
+        monkeypatch.setattr(inertia.InertiaGenerator, "fixed_at_level",
+                            lambda g, n: fixed_calls.append(n) or fixed_at_level(g, n))
         # the exhaustive witness scan takes seconds per semistable d = 2
         # report at level 6; no verdict reads its subgroup, only whether
         # there is one, so at d = 2 the image of tau - I (the least
         # witness) stands in for it.  At d = 1 the scan itself runs.
+        # Either way the Howell forms taken inside are not counted.
         scan = inertia.find_witness_subgroup
 
         def witness(gen, n):
-            if gen.dimension == 1:
-                return scan(gen, n)
-            if not inertia.witness_exists(gen, n):
-                return None
-            image = (gen.matrix - IntMatrix.identity(gen.rank)).transpose()
-            return gen.module(n).subgroup(image.reduce_mod(n).data)
+            scanning.append(n)
+            try:
+                if gen.dimension == 1:
+                    return scan(gen, n)
+                if not inertia.witness_exists(gen, n):
+                    return None
+                image = (gen.matrix - IntMatrix.identity(gen.rank)).transpose()
+                return gen.module(n).subgroup(image.reduce_mod(n).data)
+            finally:
+                scanning.pop()
 
         monkeypatch.setattr(inertia, "find_witness_subgroup", witness)
         polarizations = {
@@ -186,5 +208,14 @@ class TestNoIsotropicSubgroupBuilt:
                     for level in (None, 4):
                         build_report(scenario, level)
                         reports += 1
-        assert calls == []
+        assert calls == [] and howell_calls == [] and fixed_calls == []
         assert reports == 4 * (len(catalog_matrices(1)) + len(catalog_matrices(2)))
+
+    def test_only_finite_order_reports_check_the_smith_form(self):
+        # the check runs once per finite-order generator, through the
+        # Neron invariants; an infinite-order report reads the divisors
+        for tau, finite in ((IntMatrix([[-1, 0], [0, -1]]), True),
+                            (IntMatrix([[1, 1], [0, 1]]), False)):
+            scenario = Scenario(1, 7, tau)
+            build_report(scenario)
+            assert ("checked_smith_form" in scenario.generator().__dict__) == finite
