@@ -107,8 +107,9 @@ class InertiaGenerator(Record):
     identity assigned index 0, and None otherwise.
 
     Data that several criteria read off tau is computed on first use
-    and kept in the instance __dict__: the Smith form of tau - I, also
-    once checked (checked_smith_form); the content of (tau - I)^2
+    and kept in the instance __dict__: the Smith form of tau - I,
+    checked once (_displacement_snf, read through displacement_divisors
+    and fixed_structure); the content of (tau - I)^2
     (displacement_content); the fixed subgroup FIX per level; the Neron
     invariants; and, per cohomology degree k, the content of
     (A_k - I)^(k+1).  None of it is a field, so equality, hashing and
@@ -138,38 +139,32 @@ class InertiaGenerator(Record):
         return standard_module(n, self.dimension)
 
     @cached_property
-    def _displacement(self) -> IntMatrix:
-        """tau - I over Z."""
-        return self.matrix - IntMatrix.identity(self.rank)
-
-    @cached_property
     def displacement_content(self) -> int:
         """The gcd of the entries of (tau - I)^2 over Z: 0 exactly when
         tau is semistable, and (tau - I)^2 = 0 mod n exactly when n
         divides it."""
-        return (self._displacement @ self._displacement).content()
+        return _square_of_displacement(self.matrix).content()
 
     @cached_property
     def _displacement_snf(self) -> SmithDecomposition:
-        """U (tau - I) V = D over Z, the one Smith form every level reads."""
-        return smith_normal_form(self._displacement)
+        """U (tau - I) V = D over Z, the one Smith form every level reads.
 
-    @cached_property
-    def checked_smith_form(self) -> SmithDecomposition:
-        """The Smith form above, checked once in every interpreter mode:
-        the divisor d_i divides column i of (tau - I) V (so that column
-        is zero when d_i = 0), and |det V| = 1.
-
-        That settles every level n at once.  Column i of V times
-        n / gcd(d_i, n), the Smith kernel generator, is fixed by tau
-        mod n, and V is an automorphism of (Z/n)^2d, so the generators
-        span prod gcd(d_i, n) points.
+        Checked once, in every interpreter mode: the divisor d_i divides
+        column i of (tau - I) V (so that column is zero when d_i = 0),
+        and |det V| = 1.  At every level n, then, each Smith kernel
+        generator (matrices._smith_kernel_gens) is fixed by tau mod n,
+        and V being an automorphism of (Z/n)^2d, the generators span
+        prod gcd(d_i, n) points.  That is a lower bound on the fixed
+        n-torsion; U is not checked, so equality rests on the algorithm
+        (neron_torsion checks the count of zero divisors, and the
+        torsion-identity suite compares the whole order with a kernel
+        computed mod n).
         """
-        snf = self._displacement_snf
-        rows = self._displacement.data
+        a = self.matrix - IntMatrix.identity(self.rank)
+        snf = smith_normal_form(a)
         mul = operator.mul
         for i, (q, col) in enumerate(zip(snf.divisors, zip(*snf.v.data))):
-            for row in rows:
+            for row in a.data:
                 x = sum(map(mul, row, col))
                 if x % q if q else x:
                     raise AssertionError(
@@ -204,13 +199,13 @@ class InertiaGenerator(Record):
         """Points of the level-n module that tau fixes.
 
         Generated by the kernel generators of the checked Smith form
-        (see matrices._smith_kernel_gens).  Its Howell form is
-        canonical, so the subgroup equals the one a fresh kernel
-        computation mod n gives.  No report reads it.
+        (see _displacement_snf and matrices._smith_kernel_gens).  Its
+        Howell form is canonical, so the subgroup equals the one a fresh
+        kernel computation mod n gives.  No report reads it.
         """
         if n not in self._fixed:
             module = self.module(n)
-            gens = _smith_kernel_gens(self.checked_smith_form, n)
+            gens = _smith_kernel_gens(self._displacement_snf, n)
             self._fixed[n] = Subgroup(
                 module, howell_form(ModMatrix._trusted(n, gens, self.rank)))
         return self._fixed[n]

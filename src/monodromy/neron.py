@@ -2,12 +2,13 @@
 
 For a finite-order symplectic tau the special fiber after base change
 is abelian, so the toric rank is zero and the dimension splits as
-abelian rank a plus unipotent rank u.  Everything here is read off one
-Smith normal form of tau - I over Z: 2a zero divisors, the component
-group as the divisors above 1, all of them prime to p.  Per-level
-torsion then comes from the gcds of the level with the divisors, and
-the verification routines check the announced shapes of those
-invariants on concrete generators, clause by clause.
+abelian rank a plus unipotent rank u.  2a is the multiplicity of the
+eigenvalue 1 of tau; the rest is read off one Smith normal form of
+tau - I over Z: 2a zero divisors, the component group as the divisors
+above 1, all of them prime to p.  Per-level torsion then comes from the
+gcds of the level with the divisors, and the verification routines
+check the announced shapes of those invariants on concrete generators,
+clause by clause.
 """
 
 from __future__ import annotations
@@ -86,14 +87,17 @@ def neron_invariants(gen: InertiaGenerator) -> NeronInvariants:
 
 def _neron_invariants(gen: InertiaGenerator) -> NeronInvariants:
     p = gen.residue_char
-    divisors = gen.checked_smith_form.divisors
-    zero_count = sum(1 for q in divisors if q == 0)
-    # the fixed sublattice of a finite-order symplectic action is
-    # symplectic, so the rational nullity of tau - I is even
-    if zero_count % 2:
-        raise AssertionError(f"rational nullity {zero_count} of tau - I is odd")
-    a = zero_count // 2
-    phi = tuple(q for q in divisors if q > 1)
+    # tau has finite order, so it is semisimple and the rational
+    # nullity of tau - I is the multiplicity of Phi_1 = x - 1 in the
+    # characteristic polynomial; read it there rather than off the
+    # Smith zeros, so the kernel-count identity in neron_torsion
+    # compares two computations.  The fixed sublattice of a symplectic
+    # action is symplectic, so the nullity is even.
+    nullity = dict(gen.factor_orders).get(1, 0)
+    if nullity % 2:
+        raise AssertionError(f"rational nullity {nullity} of tau - I is odd")
+    a = nullity // 2
+    phi = tuple(q for q in gen.displacement_divisors if q > 1)
     m = gen.semisimple_order
     if any(m % q for q in phi):
         raise AssertionError(f"a component divisor in {phi} does not divide the order {m}")
@@ -112,7 +116,8 @@ class TorsionReport(Record):
     """Per-level snapshot: the fixed n-torsion and the n-torsion of the
     component group.  The order is read off the checked Smith form; the
     kernel-count identity #ker((tau - I) mod n) = n^(2a) * #Phi[n] is
-    asserted against the Neron invariants."""
+    asserted against the Neron invariants, with 2a the multiplicity of
+    the eigenvalue 1 of tau."""
 
     __slots__ = _fields = ("level", "fixed_order", "fixed_structure", "phi_torsion",
                            "b_exponent")
@@ -131,10 +136,14 @@ def neron_torsion(gen: InertiaGenerator, n: int) -> TorsionReport:
     """Fixed n-torsion and component-group n-torsion.
 
     The fixed n-torsion is the kernel of (tau - I) mod n.  Its order is
-    read off the checked Smith form (gen.checked_smith_form): one
-    factor n per zero divisor, gcd(q, n) per nonzero divisor q.  The
-    kernel-count identity is asserted against the Neron invariants, and
-    no subgroup is built.
+    read off the checked Smith form (gen.fixed_structure): one factor n
+    per zero divisor, gcd(q, n) per nonzero divisor q.  No subgroup is
+    built.  The check on the Smith form shows that its kernel
+    generators span that many fixed points, a lower bound.  The
+    kernel-count identity is asserted against the Neron invariants,
+    whose abelian rank comes from the characteristic polynomial, so it
+    checks the Smith zero count against the multiplicity of the
+    eigenvalue 1.
 
     Raises:
       InertiaError: n < 1.

@@ -192,6 +192,16 @@ class TestNeronTorsion:
                 assert neron_torsion(g, n).fixed_order == fresh.order
             assert "_fixed" not in g.__dict__
 
+    def test_identity_compares_smith_zeros_with_the_eigenvalue_one(self):
+        # the abelian rank comes from the characteristic polynomial, so
+        # a generator whose factor orders deny the eigenvalue 1 of tau = I
+        # (two Smith zeros) fails the identity at every level above 1
+        g = InertiaGenerator(I2, 0, 1, ((2, 2),), 2, None, True)
+        assert neron_torsion(g, 1).fixed_order == 1
+        for n in (2, 3, 5):
+            with pytest.raises(AssertionError, match=f"fails at level {n}: fixed order {n * n} != 1"):
+                neron_torsion(g, n)
+
     def test_wild_level_rejected(self):
         with pytest.raises(WildRamification):
             neron_torsion(classify(MINUS, 3), 3)

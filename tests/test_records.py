@@ -218,7 +218,6 @@ def test_memos_stay_out_of_eq_hash_and_repr():
     gen, twin = classify(tau), dataclass_twin("InertiaGenerator")(*args)
     gen.fixed_at_level(5)
     gen.displacement_content
-    gen.checked_smith_form
     gen.displacement_divisors
     assert gen.__dict__ and gen == InertiaGenerator(*args)
     assert hash(gen) == hash(twin) and repr(gen) == repr(twin)

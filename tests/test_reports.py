@@ -210,12 +210,3 @@ class TestNoIsotropicSubgroupBuilt:
                         reports += 1
         assert calls == [] and howell_calls == [] and fixed_calls == []
         assert reports == 4 * (len(catalog_matrices(1)) + len(catalog_matrices(2)))
-
-    def test_only_finite_order_reports_check_the_smith_form(self):
-        # the check runs once per finite-order generator, through the
-        # Neron invariants; an infinite-order report reads the divisors
-        for tau, finite in ((IntMatrix([[-1, 0], [0, -1]]), True),
-                            (IntMatrix([[1, 1], [0, 1]]), False)):
-            scenario = Scenario(1, 7, tau)
-            build_report(scenario)
-            assert ("checked_smith_form" in scenario.generator().__dict__) == finite
