@@ -107,9 +107,10 @@ class InertiaGenerator(Record):
     identity assigned index 0, and None otherwise.
 
     Data that several criteria read off tau is computed on first use
-    and kept in the instance __dict__: the Smith form of tau - I,
-    checked once (_displacement_snf, read through displacement_divisors
-    and fixed_structure); the content of (tau - I)^2
+    and kept in the instance __dict__: the Smith form of tau - I, its
+    divisors and column transform V, which smith_normal_form checks
+    (_displacement_snf, read through displacement_divisors,
+    fixed_structure and fixed_at_level); the content of (tau - I)^2
     (displacement_content); the fixed subgroup FIX per level; the Neron
     invariants; and, per cohomology degree k, the content of
     (A_k - I)^(k+1).  None of it is a field, so equality, hashing and
@@ -147,33 +148,9 @@ class InertiaGenerator(Record):
 
     @cached_property
     def _displacement_snf(self) -> SmithDecomposition:
-        """U (tau - I) V = D over Z, the one Smith form every level reads.
-
-        Checked once, in every interpreter mode: the divisor d_i divides
-        column i of (tau - I) V (so that column is zero when d_i = 0),
-        and |det V| = 1.  At every level n, then, each Smith kernel
-        generator (matrices._smith_kernel_gens) is fixed by tau mod n,
-        and V being an automorphism of (Z/n)^2d, the generators span
-        prod gcd(d_i, n) points.  That is a lower bound on the fixed
-        n-torsion; U is not checked, so equality rests on the algorithm
-        (neron_torsion checks the count of zero divisors, and the
-        torsion-identity suite compares the whole order with a kernel
-        computed mod n).
-        """
-        a = self.matrix - IntMatrix.identity(self.rank)
-        snf = smith_normal_form(a)
-        mul = operator.mul
-        for i, (q, col) in enumerate(zip(snf.divisors, zip(*snf.v.data))):
-            for row in a.data:
-                x = sum(map(mul, row, col))
-                if x % q if q else x:
-                    raise AssertionError(
-                        f"Smith divisor {q} does not divide column {i} of (tau - I) V"
-                    )
-        det = snf.v.det()
-        if abs(det) != 1:
-            raise AssertionError(f"Smith transform V has determinant {det}, not +-1")
-        return snf
+        """The one Smith form of tau - I that every level reads, checked
+        by smith_normal_form itself."""
+        return smith_normal_form(self.matrix - IntMatrix.identity(self.rank))
 
     @cached_property
     def displacement_divisors(self) -> Tuple[int, ...]:
@@ -188,8 +165,13 @@ class InertiaGenerator(Record):
 
     def fixes_all_torsion(self, m: int) -> bool:
         """Whether tau fixes every m-torsion point, that is tau = I mod
-        m: m divides every Smith divisor of tau - I."""
-        return all(d % m == 0 for d in self.displacement_divisors)
+        m: m divides every Smith divisor of tau - I, hence the first,
+        which divides every later one (zeros come last).
+
+        Raises:
+          MatrixError: m is not an integer >= 1.
+        """
+        return self.displacement_divisors[0] % _check_modulus(m) == 0
 
     @cached_property
     def _fixed(self) -> Dict[int, Subgroup]:
@@ -198,10 +180,10 @@ class InertiaGenerator(Record):
     def fixed_at_level(self, n: int) -> Subgroup:
         """Points of the level-n module that tau fixes.
 
-        Generated by the kernel generators of the checked Smith form
-        (see _displacement_snf and matrices._smith_kernel_gens).  Its
-        Howell form is canonical, so the subgroup equals the one a fresh
-        kernel computation mod n gives.  No report reads it.
+        Generated by the kernel generators of the one Smith form of
+        tau - I (see matrices.smith_normal_form and _smith_kernel_gens).
+        Its Howell form is canonical, so the subgroup equals the one a
+        fresh kernel computation mod n gives.  No report reads it.
         """
         if n not in self._fixed:
             module = self.module(n)

@@ -4,8 +4,9 @@ Matrices are immutable tuples of tuples of Python ints, so every
 operation is exact at any size and results are hashable.  The normal
 forms here are the load-bearing primitives for everything else:
 
-* Smith normal form over Z with unimodular transforms and a fixed
-  pivoting rule, so outputs are deterministic and testable.
+* Smith normal form over Z: the divisors and the unimodular column
+  transform, from a fixed pivoting rule, so outputs are deterministic,
+  and checked by the routine itself in every interpreter mode.
 * The Howell form over Z/nZ: the Howell form of a row span is the
   mod-n reduction of the row Hermite form of the lattice spanned by the
   rows and n*Z^c.  That makes the Howell form canonical: two
@@ -398,23 +399,19 @@ def _det_bareiss(data: Sequence[Sequence[int]]) -> int:
 
 
 class SmithDecomposition(Record):
-    """U @ A @ V == D with U, V unimodular; diagonal divisors d1 | d2 | ..."""
+    """Divisors d1 | d2 | ... (zeros last) and a unimodular V such that
+    d_i divides column i of A V, and columns past the divisors vanish."""
 
-    __slots__ = _fields = ("u", "d", "v")
+    __slots__ = _fields = ("divisors", "v")
 
-    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
+    def __init__(self, divisors: Tuple[int, ...], v: IntMatrix) -> None:
         put = object.__setattr__
-        put(self, "u", u)
-        put(self, "d", d)
+        put(self, "divisors", divisors)
         put(self, "v", v)
-
-    @property
-    def divisors(self) -> Tuple[int, ...]:
-        return tuple(self.d.data[i][i] for i in range(min(self.d.rows, self.d.cols)))
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms.
+    """Smith divisors of a with the column transform V, checked.
 
     At each stage the pivot is the smallest-absolute-value nonzero
     entry of the trailing block, ties broken row-major, moved to the
@@ -423,12 +420,20 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     pivot by the gcd, until both are clear and the pivot divides the
     whole trailing block; a row holding an entry it does not divide is
     added to the pivot row first.  The computation is deterministic,
-    and diagonal entries come out nonnegative with zeros last and each
-    dividing the next.
+    and the divisors come out nonnegative with zeros last and each
+    dividing the next.  The row operations are not recorded.
+
+    The result is checked in every interpreter mode, with an
+    AssertionError: d_i divides column i of a V (the column is zero
+    when d_i = 0 or i is past the divisors), and |det V| = 1.  Then at
+    every level n the kernel generators (_smith_kernel_gens) lie in the
+    kernel of a mod n and span prod gcd(d_i, n) points, a lower bound on
+    its order; with divisors equal to the determinantal divisors of a
+    the check implies a unimodular U with U a V = D (the argument is in
+    tests/test_matrices.py, TestSmithNormalForm).
     """
     rows, cols = a.rows, a.cols
     m = a.to_lists()
-    u = IntMatrix.identity(rows).to_lists()
     vt = IntMatrix.identity(cols).to_lists()  # row j is column j of V
     for t in range(min(rows, cols)):
         best = 0
@@ -443,14 +448,12 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if not best:
             break
         m[t], m[pi] = m[pi], m[t]
-        u[t], u[pi] = u[pi], u[t]
         if pj != t:
             for row in m:
                 row[t], row[pj] = row[pj], row[t]
             vt[t], vt[pj] = vt[pj], vt[t]
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
         while True:
             p = m[t][t]
             for i in range(t + 1, rows):
@@ -460,14 +463,12 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 q, r = divmod(b, p)
                 if not r:
                     m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                     continue
                 g, c, e = _xgcd(p, b)
                 pg, bg = p // g, b // g
-                for w in (m, u):
-                    wt, wi = w[t], w[i]
-                    w[t] = [c * x + e * y for x, y in zip(wt, wi)]
-                    w[i] = [bg * x - pg * y for x, y in zip(wt, wi)]
+                mt, mi = m[t], m[i]
+                m[t] = [c * x + e * y for x, y in zip(mt, mi)]
+                m[i] = [bg * x - pg * y for x, y in zip(mt, mi)]
                 p = g
             # column t is now zero off the pivot, so an exact column
             # operation changes only row t of m; a gcd step refills
@@ -496,12 +497,19 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 if stain is None:
                     break
                 m[t] = [x + y for x, y in zip(m[t], m[stain])]
-                u[t] = [x + y for x, y in zip(u[t], u[stain])]
-    return SmithDecomposition(
-        IntMatrix._trusted(tuple(map(tuple, u))),
-        IntMatrix._trusted(tuple(map(tuple, m))),
-        IntMatrix._trusted(tuple(zip(*vt))),
-    )
+    divisors = tuple(m[i][i] for i in range(min(rows, cols)))
+    mul = operator.mul
+    for i, col in enumerate(vt):
+        q = divisors[i] if i < len(divisors) else 0
+        for row in a.data:
+            x = sum(map(mul, row, col))
+            if x % q if q else x:
+                raise AssertionError(f"Smith divisor {q} does not divide column {i} of A V")
+    v = IntMatrix._trusted(tuple(zip(*vt)))
+    det = v.det()
+    if abs(det) != 1:
+        raise AssertionError(f"Smith transform V has determinant {det}, not +-1")
+    return SmithDecomposition(divisors, v)
 
 
 def _lattice_basis(n: int, cols: int, rows: Iterable[Sequence[int]]) -> List[List[int]]:
@@ -584,10 +592,10 @@ def howell_pivots(h: ModMatrix) -> Tuple[Tuple[int, int], ...]:
 
 
 def _smith_kernel_gens(snf: SmithDecomposition, n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Generators of {x : A x = 0 mod n} for U A V = D: with x = V y the
-    condition is d_i y_i = 0 mod n, so column i of V times
-    n / gcd(d_i, n), with d_i = 0 past the diagonal, reduced mod n; the
-    zero ones are dropped."""
+    """Generators of {x : A x = 0 mod n} for U A V = D, U unimodular
+    and not computed: with x = V y the condition is d_i y_i = 0 mod n,
+    so column i of V times n / gcd(d_i, n), with d_i = 0 past the
+    divisors, reduced mod n; the zero ones are dropped."""
     divisors = snf.divisors
     gens = []
     for i, col in enumerate(zip(*snf.v.data)):

@@ -138,8 +138,9 @@ def neron_torsion(gen: InertiaGenerator, n: int) -> TorsionReport:
     The fixed n-torsion is the kernel of (tau - I) mod n.  Its order is
     read off the checked Smith form (gen.fixed_structure): one factor n
     per zero divisor, gcd(q, n) per nonzero divisor q.  No subgroup is
-    built.  The check on the Smith form shows that its kernel
-    generators span that many fixed points, a lower bound.  The
+    built.  The check smith_normal_form makes on its result (d_i
+    divides column i of (tau - I) V, and |det V| = 1) shows that its
+    kernel generators span that many fixed points, a lower bound.  The
     kernel-count identity is asserted against the Neron invariants,
     whose abelian rank comes from the characteristic polynomial, so it
     checks the Smith zero count against the multiplicity of the

@@ -472,7 +472,9 @@ def _linalg_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[str]]:
     a = _random_int_matrix(rng, rows, cols)
     s = smith_normal_form(a)
     checked += 1
-    if s.u @ a @ s.v != s.d or abs(s.u.det()) != 1 or abs(s.v.det()) != 1:
+    av = (a @ s.v).transpose().data
+    qs = s.divisors + (0,) * (a.cols - len(s.divisors))
+    if any(x % q if q else x for q, col in zip(qs, av) for x in col) or abs(s.v.det()) != 1:
         failures.append(f"smith decomposition broken for {_fmt(a)}")
 
     n = rng.choice((2, 3, 4, 5, 6, 8))

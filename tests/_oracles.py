@@ -579,7 +579,7 @@ def is_isotropic_extension(s, h) -> bool:
 # must behave exactly like it.
 RECORD_DECLARATIONS = {
     "IntPoly": (("coeffs", ()),),
-    "SmithDecomposition": ("u", "d", "v"),
+    "SmithDecomposition": ("divisors", "v"),
     "PrimePowerSet": ("k", "members"),
     "SweepReport": ("k_max", "n_max", "order_max", "checked", "violations",
                     "boundary_memberships"),

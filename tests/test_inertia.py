@@ -231,23 +231,26 @@ class TestSemistability:
                 assert (g.displacement_content % n == 0) == expected
 
     def test_levels_below_one_keep_their_errors(self):
-        # a bare remainder by the content would divide by zero at n = 0
-        # and answer at n = -3; both levels are refused as before
-        g = classify(SHEAR)
-        for n in (0, -3):
-            for call, error, message in (
-                (lambda: g.fixes_maximal_isotropic(n), MatrixError,
-                 "modulus must be >= 1"),
-                (lambda: square_zero_mod_n(g, n), InertiaError, "level must be >= 1"),
-                (lambda: g.fixes_maximal_isotropic(n, scalar_polarization(1, 2)),
-                 TorsionError, "level must be >= 1"),
-            ):
-                with pytest.raises(error) as caught:
-                    call()
-                assert type(caught.value) is error
-                assert str(caught.value) == message
-        with pytest.raises(MatrixError, match="not float"):
-            g.fixes_maximal_isotropic(2.0)
+        # a bare remainder by the content or by the first Smith divisor
+        # would divide by zero at n = 0 and answer at n < 0 (True for
+        # fixes_all_torsion(-2) at -I); every such level is refused
+        for g in (classify(SHEAR), classify(MINUS)):
+            for n in (0, -2, -3):
+                for call, error, message in (
+                    (lambda: g.fixes_maximal_isotropic(n), MatrixError,
+                     "modulus must be >= 1"),
+                    (lambda: g.fixes_all_torsion(n), MatrixError, "modulus must be >= 1"),
+                    (lambda: square_zero_mod_n(g, n), InertiaError, "level must be >= 1"),
+                    (lambda: g.fixes_maximal_isotropic(n, scalar_polarization(1, 2)),
+                     TorsionError, "level must be >= 1"),
+                ):
+                    with pytest.raises(error) as caught:
+                        call()
+                    assert type(caught.value) is error
+                    assert str(caught.value) == message
+            for call in (g.fixes_maximal_isotropic, g.fixes_all_torsion):
+                with pytest.raises(MatrixError, match="not float"):
+                    call(2.0)
 
     def test_square_zero_respects_wildness(self):
         g = classify(ROT3, 5)
@@ -755,33 +758,49 @@ class TestGeneratorMemo:
                     assert type(caught.value) is InertiaError
 
     def test_fixed_generator_check_survives_optimize(self):
-        # the Smith form every level reads is checked once per generator,
-        # and the check must fire with asserts stripped.  Zero divisors
-        # claim that every column of V is fixed; a doubled column of V
-        # keeps each column a multiple of its divisor but halves the
-        # points the kernel generators span (tau = -I, where V = I)
-        fakes = {
-            "m.SmithDecomposition(snf.u, a - a, snf.v)":
-                "AssertionError: Smith divisor 0 does not divide column 0 of (tau - I) V",
-            "m.SmithDecomposition(snf.u, snf.d, snf.v @ m.IntMatrix([[2, 0], [0, 1]]))":
-                "AssertionError: Smith transform V has determinant 2, not +-1",
+        # smith_normal_form checks its own result, and the check must
+        # fire with asserts stripped, called directly and through the
+        # generator's one Smith form.  The fault is a Bezout pair scaled
+        # by 2 in every extended-gcd step: in a row step it breaks the
+        # divisors (the first column of A V is (6, 9) for
+        # tau - I = [[6, -4], [9, -6]], and the pivot 4 divides neither),
+        # in a column step it doubles det V ([[2, 3]] and
+        # tau - I = [[-2, 3], [0, -2]]); the calls with a correct Bezout
+        # pair go through
+        calls = {
+            "m.smith_normal_form(m.IntMatrix([[2], [3]]))":
+                "Smith divisor 2 does not divide column 0 of A V",
+            "m.smith_normal_form(m.IntMatrix([[2, 3]]))":
+                "Smith transform V has determinant -2, not +-1",
+            "i.classify(m.IntMatrix([[7, -4], [9, -5]])).fixed_at_level(4)":
+                "Smith divisor 4 does not divide column 0 of A V",
+            "i.classify(m.IntMatrix([[-1, 3], [0, -1]])).fixed_at_level(4)":
+                "Smith transform V has determinant -2, not +-1",
         }
-        for fake, message in fakes.items():
-            code = (
-                "import monodromy.inertia as i, monodromy.matrices as m\n"
-                "assert False, 'assert statements must be stripped here'\n"
-                "real = m.smith_normal_form\n"
-                "def fake(a):\n"
-                "    snf = real(a)\n"
-                f"    return {fake}\n"
-                "i.smith_normal_form = fake\n"
-                "i.classify(m.IntMatrix([[-1, 0], [0, -1]])).fixed_at_level(4)\n"
-            )
-            proc = subprocess.run([sys.executable, "-O", "-c", code],
-                                  env=dict(os.environ, PYTHONPATH=SRC),
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 1
-            assert proc.stderr.rstrip().endswith(message), proc.stderr
+        code = (
+            "import monodromy.inertia as i, monodromy.matrices as m\n"
+            "assert False, 'assert statements must be stripped here'\n"
+            f"calls = {list(calls)!r}\n"
+            "for call in calls:\n"
+            "    eval(call)\n"
+            "real = m._xgcd\n"
+            "def fake(a, b):\n"
+            "    g, s, t = real(a, b)\n"
+            "    return g, 2 * s, 2 * t\n"
+            "m._xgcd = fake\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        eval(call)\n"
+            "    except AssertionError as e:\n"
+            "        print(e)\n"
+            "    else:\n"
+            "        print('no error')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == list(calls.values())
 
     def test_displacement_divisors(self):
         g = classify(block_sum([MINUS, I2]))

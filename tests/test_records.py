@@ -43,8 +43,7 @@ def _samples():
     full, trivial = full_subgroup(module), module.subgroup([])
     return {
         "IntPoly": [((1, 2),), ((1, 2),), ((),), ((0, 1),)],
-        "SmithDecomposition": [(ident, shear, ident), (ident, shear2, ident),
-                               (shear, ident, ident)],
+        "SmithDecomposition": [((1, 0), shear), ((1, 0), shear2), ((2, 0), shear)],
         "PrimePowerSet": [(2, (1, 2, 3, 4)), (2, (1, 2, 3, 4)), (3, (1, 2, 3, 4))],
         "SweepReport": [(2, 6, 12, 40, (), ((2, 1, 2),)), (2, 6, 12, 40, (), ((2, 1, 2),)),
                         (2, 6, 12, 40, ((3, 2, 5),), ())],
