@@ -28,7 +28,6 @@ _EXPORTS = {
         "char_poly",
         "exterior_power",
         "howell_form",
-        "is_unipotent",
         "kernel_mod_n",
         "smith_normal_form",
         "standard_symplectic_form",

@@ -312,19 +312,29 @@ def cyclotomic_factor(p: IntPoly) -> Dict[int, int]:
     if p.is_zero() or not p.is_monic():
         raise ValueError("only monic polynomials factor into cyclotomics")
     out: Dict[int, int] = {}
-    rem = p
+    rem = list(p.coeffs)
     # each order is tried once, strip by strip: a cyclotomic polynomial
-    # that does not divide rem divides none of its later quotients
+    # that does not divide rem divides none of its later quotients.
+    # Trial division runs on plain coefficient lists, constant first.
     for order in _orders_with_phi_at_most(p.degree):
-        if rem.degree == 0:
+        if len(rem) == 1:
             break
-        q = cyclotomic_poly(order)
-        while q.degree <= rem.degree:
-            quo, r = divmod(rem, q)
-            if not r.is_zero():
+        q = cyclotomic_poly(order).coeffs
+        d = len(q) - 1
+        lower = [(j, b) for j, b in enumerate(q[:d]) if b]
+        while d < len(rem):
+            # synthetic division by the monic q: the quotient ends up
+            # in work[d:], the remainder in work[:d]
+            work = rem[:]
+            for k in range(len(work) - 1, d - 1, -1):
+                c = work[k]
+                if c:
+                    for j, b in lower:
+                        work[k - d + j] -= c * b
+            if any(work[:d]):
                 break
             out[order] = out.get(order, 0) + 1
-            rem = quo
-    if rem.degree > 0:
-        raise NonCyclotomicFactor(rem)
+            rem = work[d:]
+    if len(rem) > 1:
+        raise NonCyclotomicFactor(IntPoly(rem))
     return out

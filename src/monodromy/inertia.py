@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Dict, Optional, Tuple
 
 from ._record import Record
@@ -28,13 +28,14 @@ from .matrices import (
     ModMatrix,
     SmithDecomposition,
     _check_modulus,
+    _faddeev_leverrier,
+    _poly_at,
     _smith_kernel_gens,
-    char_poly,
     howell_form,
-    is_unipotent,
     smith_normal_form,
     standard_symplectic_form,
 )
+from .polynomials import cyclotomic_poly
 from .torsion import (
     Polarization,
     Subgroup,
@@ -107,14 +108,16 @@ class InertiaGenerator(Record):
     identity assigned index 0, and None otherwise.
 
     Data that several criteria read off tau is computed on first use
-    and kept in the instance __dict__: the Smith form of tau - I, its
-    divisors and column transform V, which smith_normal_form checks
+    and kept in the instance __dict__: the one Faddeev-LeVerrier run,
+    the characteristic polynomial with its Horner partial sums at tau
+    (_horner, which classify seeds); the content of (tau - I)^2, read
+    off those sums (displacement_content); the Smith form of tau - I,
+    its divisors and column transform V, which smith_normal_form checks
     (_displacement_snf, read through displacement_divisors,
-    fixed_structure and fixed_at_level); the content of (tau - I)^2
-    (displacement_content); the fixed subgroup FIX per level; the Neron
-    invariants; and, per cohomology degree k, the content of
-    (A_k - I)^(k+1).  None of it is a field, so equality, hashing and
-    repr are unchanged, and it goes away with the instance.
+    fixed_structure and fixed_at_level); the fixed subgroup FIX per
+    level; the Neron invariants; and, per cohomology degree k, the
+    content of (A_k - I)^(k+1).  None of it is a field, so equality,
+    hashing and repr are unchanged, and it goes away with the instance.
     """
 
     _fields = ("matrix", "residue_char", "dimension", "factor_orders",
@@ -140,11 +143,20 @@ class InertiaGenerator(Record):
         return standard_module(n, self.dimension)
 
     @cached_property
+    def _horner(self):
+        """The characteristic polynomial of tau and its Horner partial
+        sums at tau, from one checked Faddeev-LeVerrier run
+        (matrices._faddeev_leverrier); classify seeds it."""
+        return _faddeev_leverrier(self.matrix)
+
+    @cached_property
     def displacement_content(self) -> int:
         """The gcd of the entries of (tau - I)^2 over Z: 0 exactly when
         tau is semistable, and (tau - I)^2 = 0 mod n exactly when n
-        divides it."""
-        return _square_of_displacement(self.matrix).content()
+        divides it.  (x - 1)^2 is evaluated on the Horner partial sums
+        N_0 = I, N_1 and N_2 = tau^2 + c_(n-1) tau + c_(n-2) I, with no
+        matrix product."""
+        return _poly_at(self._horner, (1, -2, 1)).content()
 
     @cached_property
     def _displacement_snf(self) -> SmithDecomposition:
@@ -223,6 +235,16 @@ class InertiaGenerator(Record):
 def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
     """Validate a candidate inertia matrix and derive its invariants.
 
+    One Faddeev-LeVerrier run gives the characteristic polynomial chi
+    and its Horner partial sums at tau, and decides everything else.
+    With f the product of the distinct cyclotomic Phi_k dividing chi
+    and m the lcm of those k, x^m - 1 = f g with g prime to chi, so
+    g(tau) is invertible: tau^m = I iff f(tau) = 0, and
+    (tau^m - I)^2 = 0 iff f(tau)^2 = 0.  f(tau) is a weighted sum of
+    the partial sums (matrices._poly_at), and deg f = 2d means f = chi,
+    which vanishes at tau.  Only an infinite-order tau pays one matrix
+    product, f(tau) f(tau).  The run is kept on the generator.
+
     Raises:
       NotSymplectic: wrong shape or tau^T J tau != J.
       NotQuasiUnipotent: characteristic polynomial has a
@@ -240,42 +262,43 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
     d = matrix.rows // 2
     # tau^T (J tau), where J tau is tau's bottom half over minus its top half
     t = matrix.data
-    j_tau = t[d:] + tuple(tuple(-x for x in row) for row in t[:d])
+    neg = operator.neg
+    j_tau = t[d:] + tuple([tuple(map(neg, row)) for row in t[:d]])
     mul = operator.mul
     j_cols = tuple(zip(*j_tau))
-    if tuple(
-        tuple(sum(map(mul, col, jc)) for jc in j_cols) for col in zip(*t)
-    ) != standard_symplectic_form(d).data:
+    if tuple([
+        tuple([sum(map(mul, col, jc)) for jc in j_cols]) for col in zip(*t)
+    ]) != standard_symplectic_form(d).data:
         raise NotSymplectic("matrix does not preserve the standard symplectic form")
+    horner = _faddeev_leverrier(matrix)
     try:
-        factors = cyclotomic_factor(char_poly(matrix))
+        factors = cyclotomic_factor(horner[0])
     except NonCyclotomicFactor as exc:
         raise NotQuasiUnipotent(
             f"characteristic polynomial has non-cyclotomic factor {exc.remainder}"
         ) from exc
     orders = tuple(sorted(factors.items()))
     m = math.lcm(*factors.keys())
-    power_m = matrix**m
-    finite = power_m == IntMatrix.identity(matrix.rows)
-    if not finite and not _square_of_displacement(power_m).is_zero():
-        raise NotPotentiallySemistable(
-            f"(tau^{m} - I)^2 != 0: unipotent part has nilpotency index above 2"
-        )
+    radical = [cyclotomic_poly(k) for k in factors]
+    finite = True
+    if sum(q.degree for q in radical) < matrix.rows:
+        f_tau = _poly_at(horner, reduce(operator.mul, radical).coeffs)
+        finite = f_tau.is_zero()
+        if not finite and not (f_tau @ f_tau).is_zero():
+            raise NotPotentiallySemistable(
+                f"(tau^{m} - I)^2 != 0: unipotent part has nilpotency index above 2"
+            )
     if not is_tame(residue_char, m):
         raise WildRamification(
             f"residue characteristic {residue_char} divides the semisimple order {m}"
         )
-    # Only Phi_1 divides the characteristic polynomial exactly when
-    # m = 1, and then Cayley-Hamilton makes tau - I nilpotent; for
-    # m > 1 some eigenvalue of tau - I is nonzero.
+    # m = 1 exactly when chi = (x - 1)^2d; then f(tau) = tau - I, so
+    # tau = I (index 0) or its square vanishes (index 2).  For m > 1
+    # some eigenvalue of tau - I is nonzero.
     index = None
     if m == 1:
-        unipotent, index = is_unipotent(matrix)
-        if not unipotent:
-            raise AssertionError(
-                "characteristic polynomial (x - 1)^2d but tau - I is not nilpotent"
-            )
-    return InertiaGenerator(
+        index = 0 if finite else 2
+    gen = InertiaGenerator(
         matrix=matrix,
         residue_char=residue_char,
         dimension=d,
@@ -284,6 +307,8 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
         unipotent_index=index,
         potentially_good=finite,
     )
+    vars(gen)["_horner"] = horner
+    return gen
 
 
 class Verdict(Record):
@@ -308,10 +333,6 @@ class Verdict(Record):
         put(self, "agree", agree)
         put(self, "citation", citation)
         put(self, "witness", witness)
-
-
-def _square_of_displacement(a: IntMatrix) -> IntMatrix:
-    return (a - IntMatrix.identity(a.rows)) ** 2
 
 
 def galois_criterion(gen: InertiaGenerator) -> bool:

@@ -121,7 +121,7 @@ class IntMatrix:
         return IntMatrix._trusted(tuple(zip(*self.data)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __eq__(self, other) -> bool:
         return (
@@ -136,15 +136,17 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix._trusted(tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
-        ))
+        add = operator.add
+        return IntMatrix._trusted(tuple([
+            tuple(map(add, ra, rb)) for ra, rb in zip(self.data, other.data)
+        ]))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix._trusted(tuple(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
-        ))
+        sub = operator.sub
+        return IntMatrix._trusted(tuple([
+            tuple(map(sub, ra, rb)) for ra, rb in zip(self.data, other.data)
+        ]))
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self.data))
@@ -191,7 +193,7 @@ class IntMatrix:
     def content(self) -> int:
         """The gcd of the entries, 0 for the zero matrix: the matrix
         vanishes mod n exactly when n divides it."""
-        return math.gcd(*(x for row in self.data for x in row))
+        return math.gcd(*itertools.chain.from_iterable(self.data))
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -294,7 +296,7 @@ class ModMatrix:
         return ModMatrix._trusted(self.modulus, tuple(zip(*self.data)), self.rows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __eq__(self, other) -> bool:
         return (
@@ -620,12 +622,25 @@ def kernel_mod_n(a: ModMatrix) -> ModMatrix:
 
 
 def char_poly(a: IntMatrix) -> IntPoly:
-    """Monic characteristic polynomial det(x*I - a), exactly over Z.
+    """Monic characteristic polynomial det(x*I - a), exactly over Z,
+    from _faddeev_leverrier with its exactness and Cayley-Hamilton
+    checks."""
+    return _faddeev_leverrier(a)[0]
 
-    Faddeev-LeVerrier on plain rows: M_1 = a, c_(n-k) = -tr(M_k) / k
-    and M_(k+1) = a (M_k + c_(n-k) I).  Every division is exact, and
-    the Cayley-Hamilton identity M_n + c_0 I = 0 is checked at the end;
-    both checks raise AssertionError in every interpreter mode.
+
+def _faddeev_leverrier(a: IntMatrix) -> Tuple[IntPoly, Tuple[Sequence[Sequence[int]], ...]]:
+    """The characteristic polynomial chi = x^n + c_(n-1) x^(n-1) + ...
+    + c_0 of a square a, and the Horner partial sums of chi at a.
+
+    Faddeev-LeVerrier on plain rows: M_1 = a, c_(n-k) = -tr(M_k) / k,
+    N_k = M_k + c_(n-k) I and M_(k+1) = a N_k.  So N_k = a^k + c_(n-1)
+    a^(k-1) + ... + c_(n-k) I is h_k(a), with h_k the quotient of chi
+    by x^(n-k).  Every division is exact, and the Cayley-Hamilton
+    identity N_n = 0 is checked at the end; both checks raise
+    AssertionError in every interpreter mode.
+
+    Returns chi and (N_0, ..., N_(n-1)), N_0 = I, each kept as the row
+    lists the run made (read by _poly_at).
     """
     if not a.is_square:
         raise DimensionError("characteristic polynomial needs a square matrix")
@@ -634,6 +649,7 @@ def char_poly(a: IntMatrix) -> IntPoly:
     mul = operator.mul
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
+    partials = [IntMatrix.identity(n).data]
     m = [list(row) for row in rows]
     for k in range(1, n + 1):
         q, rem = divmod(-sum(m[i][i] for i in range(n)), k)
@@ -643,11 +659,56 @@ def char_poly(a: IntMatrix) -> IntPoly:
         for i in range(n):
             m[i][i] += q
         if k < n:
+            partials.append(m)
             cols = tuple(zip(*m))
             m = [[sum(map(mul, row, col)) for col in cols] for row in rows]
     if any(map(any, m)):
         raise AssertionError("Cayley-Hamilton check failed")
-    return IntPoly(coeffs)
+    return IntPoly(coeffs), tuple(partials)
+
+
+def _poly_at(horner: Tuple[IntPoly, Tuple[Sequence[Sequence[int]], ...]],
+             p: Sequence[int]) -> IntMatrix:
+    """p(a) for integer coefficients p, constant first, of degree at
+    most n, from horner = _faddeev_leverrier(a), with no matrix product.
+
+    chi(a) = 0, so p(a) = (p - p_n chi)(a), of degree below n.  The h_k
+    are monic of degree k, so one triangular change of basis writes
+    that as sum w_k h_k with integer w_k, and p(a) = sum w_k N_k.
+    """
+    chi, partials = horner
+    c = chi.coeffs
+    n = len(c) - 1
+    if len(p) > n + 1:
+        raise ValueError(f"degree {len(p) - 1} above {n}")
+    r = list(p) + [0] * (n + 1 - len(p))
+    top = r[n]
+    if top:
+        r = [x - top * y for x, y in zip(r, c)]
+    weights, sums = [], []
+    for k in range(n - 1, 0, -1):
+        w = r[k]
+        if w:
+            weights.append(w)
+            sums.append(partials[k])
+            # x^i in h_k has coefficient c_(n-k+i)
+            for i in range(k):
+                r[i] -= w * c[n - k + i]
+    # the weight of N_0 = I lands on the diagonal
+    scalar = r[0]
+    if not weights:
+        weights, sums, scalar = [scalar], [partials[0]], 0
+    mul, add = operator.mul, operator.add
+    out = []
+    for i, rows in enumerate(zip(*sums)):
+        acc = None
+        for w, row in zip(weights, rows):
+            term = row if w == 1 else map(mul, itertools.repeat(w), row)
+            acc = term if acc is None else map(add, acc, term)
+        row = list(acc)
+        row[i] += scalar
+        out.append(tuple(row))
+    return IntMatrix._trusted(tuple(out))
 
 
 def exterior_power(a, k: int):
@@ -673,24 +734,3 @@ def exterior_power(a, k: int):
             row.append(_det_bareiss(sub))
         ent.append(row)
     return IntMatrix(ent)
-
-
-def is_unipotent(a) -> Tuple[bool, Optional[int]]:
-    """(True, index) when (a - I) is nilpotent; index(I) is fixed at 0."""
-    if isinstance(a, IntMatrix):
-        ident = IntMatrix.identity(a.rows)
-    elif isinstance(a, ModMatrix):
-        ident = ModMatrix.identity(a.rows, a.modulus)
-    else:
-        raise TypeError("is_unipotent expects IntMatrix or ModMatrix")
-    if not a.is_square:
-        raise DimensionError("unipotency needs a square matrix")
-    nil = a - ident
-    if nil.is_zero():
-        return True, 0
-    power = nil
-    for r in range(1, a.rows + 1):
-        if power.is_zero():
-            return True, r
-        power = power @ nil
-    return False, None

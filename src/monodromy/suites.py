@@ -463,26 +463,36 @@ def _span_count(rows: Sequence[Sequence[int]], cols: int, n: int) -> int:
 
 
 def _linalg_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[str]]:
+    """Six properties of the normal forms on fresh random inputs.
+
+    All inputs are drawn first, in a fixed order, and each property is
+    then checked on its own: one that raises is recorded as that
+    property's failure, so a fault in a shared primitive cannot hide
+    the other properties."""
     rng = _trial_rng(seed, index)
-    failures = []
-    checked = 0
+    checks: List[Tuple[str, Callable[[], bool]]] = []
 
     rows = rng.randint(1, 4)
     cols = rng.randint(1, 4)
     a = _random_int_matrix(rng, rows, cols)
-    s = smith_normal_form(a)
-    checked += 1
-    av = (a @ s.v).transpose().data
-    qs = s.divisors + (0,) * (a.cols - len(s.divisors))
-    if any(x % q if q else x for q, col in zip(qs, av) for x in col) or abs(s.v.det()) != 1:
-        failures.append(f"smith decomposition broken for {_fmt(a)}")
+
+    def smith_holds() -> bool:
+        s = smith_normal_form(a)
+        av = (a @ s.v).transpose().data
+        qs = s.divisors + (0,) * (a.cols - len(s.divisors))
+        return (not any(x % q if q else x for q, col in zip(qs, av) for x in col)
+                and abs(s.v.det()) == 1)
+
+    checks.append((f"smith decomposition broken for {_fmt(a)}", smith_holds))
 
     n = rng.choice((2, 3, 4, 5, 6, 8))
     b = _random_int_matrix(rng, rng.randint(1, 3), rng.randint(1, 3)).reduce_mod(n)
-    h = howell_form(b)
-    checked += 1
-    if howell_form(h) != h:
-        failures.append(f"howell form not idempotent for {_fmt(b.lift())} mod {n}")
+
+    def idempotent() -> bool:
+        h = howell_form(b)
+        return howell_form(h) == h
+
+    checks.append((f"howell form not idempotent for {_fmt(b.lift())} mod {n}", idempotent))
     shuffled = list(b.data)
     rng.shuffle(shuffled)
     extra = []
@@ -498,40 +508,50 @@ def _linalg_unit(index: int, seed: int, d_max: int) -> Tuple[int, List[str]]:
                 )
             )
     same_span = ModMatrix(n, [list(r) for r in shuffled + extra], b.cols)
-    checked += 1
-    if howell_form(same_span) != h:
-        failures.append(f"howell form not canonical for {_fmt(b.lift())} mod {n}")
+    checks.append((f"howell form not canonical for {_fmt(b.lift())} mod {n}",
+                   lambda: howell_form(same_span) == howell_form(b)))
 
     size = rng.randint(2, 3)
     x = _random_int_matrix(rng, size, size)
     y = _random_int_matrix(rng, size, size)
-    checked += 1
-    if exterior_power(x @ y, 2) != exterior_power(x, 2) @ exterior_power(y, 2):
-        failures.append(f"exterior square not multiplicative for {_fmt(x)}, {_fmt(y)}")
+    checks.append((
+        f"exterior square not multiplicative for {_fmt(x)}, {_fmt(y)}",
+        lambda: exterior_power(x @ y, 2) == exterior_power(x, 2) @ exterior_power(y, 2),
+    ))
 
     z = _random_int_matrix(rng, size, size)
-    p = char_poly(z)
-    checked += 1
-    if any(
-        p.evaluate(t) != (IntMatrix.identity(size) * t - z).det() for t in (-2, 0, 1, 3)
-    ):
-        failures.append(f"characteristic polynomial wrong for {_fmt(z)}")
+
+    def char_poly_holds() -> bool:
+        p = char_poly(z)
+        return all(p.evaluate(t) == (IntMatrix.identity(size) * t - z).det()
+                   for t in (-2, 0, 1, 3))
+
+    checks.append((f"characteristic polynomial wrong for {_fmt(z)}", char_poly_holds))
 
     small_n = rng.choice((2, 3, 4))
     km = _random_int_matrix(rng, 2, 2).reduce_mod(small_n)
-    ker = kernel_mod_n(km)
-    checked += 1
-    bad_member = any(
-        any(
-            sum(km.data[i][j] * ker.data[r][j] for j in range(2)) % small_n
-            for i in range(2)
-        )
-        for r in range(ker.rows)
-    )
-    if bad_member or _span_count(ker.data, 2, small_n) != _brute_kernel_count(km):
-        failures.append(f"kernel wrong for {_fmt(km.lift())} mod {small_n}")
 
-    return checked, failures
+    def kernel_holds() -> bool:
+        ker = kernel_mod_n(km)
+        members = not any(
+            any(
+                sum(km.data[i][j] * ker.data[r][j] for j in range(2)) % small_n
+                for i in range(2)
+            )
+            for r in range(ker.rows)
+        )
+        return members and _span_count(ker.data, 2, small_n) == _brute_kernel_count(km)
+
+    checks.append((f"kernel wrong for {_fmt(km.lift())} mod {small_n}", kernel_holds))
+
+    failures = []
+    for message, holds in checks:
+        try:
+            if not holds():
+                failures.append(message)
+        except Exception as exc:
+            failures.append(f"{message}: raised {type(exc).__name__}: {exc}")
+    return len(checks), failures
 
 
 # ---------------------------------------------------------------------------

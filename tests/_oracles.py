@@ -7,26 +7,38 @@ The exceptions are subgroup_structure, contains and elements, which
 stand in for methods the package no longer carries: they are built on
 package internals, and the tests check each against a naive reference;
 and matrix_hk_vanishing, the earlier computation of cohomology
-vanishing on the degree-k action itself at each level.
+vanishing on the degree-k action itself at each level.  naive_classify
+and is_unipotent work on IntMatrix products and powers, and
+naive_classify takes the characteristic polynomial from char_poly,
+which the tests hold against leibniz_char_poly.
 """
 
 import dataclasses
 import math
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from monodromy import (
     DegeneratePairingError,
+    InertiaError,
     IntMatrix,
     IntPoly,
     MatrixError,
     ModMatrix,
+    NonCyclotomicFactor,
+    NotPotentiallySemistable,
+    NotQuasiUnipotent,
+    NotSymplectic,
     Polarization,
     TorsionError,
+    WildRamification,
+    char_poly,
     cohomology_action,
+    cyclotomic_poly,
     orthogonal_complement,
     smith_normal_form,
+    standard_symplectic_form,
 )
 from monodromy.matrices import _lattice_basis, howell_pivots
 from monodromy.torsion import _in_span, _integer
@@ -128,6 +140,27 @@ def matrix_hk_vanishing(gen, k: int, n: int) -> bool:
     else:
         ident = IntMatrix.identity(a.rows)
     return ((a - ident) ** (k + 1)).is_zero()
+
+
+def is_unipotent(a) -> Tuple[bool, Optional[int]]:
+    """(True, index) when (a - I) is nilpotent, index the least r with
+    (a - I)^r = 0 and index(I) fixed at 0; (False, None) otherwise.
+    Powers of a - I by successive products."""
+    if isinstance(a, IntMatrix):
+        ident = IntMatrix.identity(a.rows)
+    elif isinstance(a, ModMatrix):
+        ident = ModMatrix.identity(a.rows, a.modulus)
+    else:
+        raise TypeError("is_unipotent expects IntMatrix or ModMatrix")
+    nil = a - ident
+    if nil.is_zero():
+        return True, 0
+    power = nil
+    for r in range(1, a.rows + 1):
+        if power.is_zero():
+            return True, r
+        power = power @ nil
+    return False, None
 
 
 def leibniz_char_poly(a: IntMatrix) -> IntPoly:
@@ -477,6 +510,75 @@ def contains(s, x) -> bool:
     if len(vec) != s.module.rank:
         raise TorsionError("vector length does not match the module rank")
     return _in_span(s.gens, howell_pivots(s.gens), vec)
+
+
+def naive_cyclotomic_factor(p: IntPoly) -> Dict[int, int]:
+    """{order: multiplicity} by trial division of IntPoly by IntPoly,
+    one quotient and one remainder polynomial per step, each order
+    tried while it divides.  Raises NonCyclotomicFactor carrying the
+    monic remainder when no eligible cyclotomic polynomial divides it."""
+    out: Dict[int, int] = {}
+    rem = p
+    for order in range(1, 2 * p.degree * p.degree + 1):
+        if rem.degree == 0:
+            break
+        if _naive_totient(order) > rem.degree:
+            continue
+        q = cyclotomic_poly(order)
+        while q.degree <= rem.degree:
+            quo, r = divmod(rem, q)
+            if not r.is_zero():
+                break
+            out[order] = out.get(order, 0) + 1
+            rem = quo
+    if rem.degree > 0:
+        raise NonCyclotomicFactor(rem)
+    return out
+
+
+def naive_classify(tau: IntMatrix, residue_char: int = 0):
+    """classify's fields and the content of (tau - I)^2 from the
+    definitions: tau^T J tau = J by plain products, the factors by
+    IntPoly trial division, finite order as tau**m == I, the obstruction
+    as (tau**m - I)**2 != 0, the unipotent index by powers of tau - I,
+    and the content of (tau - I)**2.  Returns (semisimple order, factor
+    orders, unipotent index, potentially good, content), or raises the
+    refusal classify raises, with the same message."""
+    if residue_char < 0:
+        raise InertiaError("residue characteristic must be >= 0")
+    if not tau.is_square or tau.rows % 2 or tau.rows < 2:
+        raise NotSymplectic("matrix must be square of even positive size")
+    d = tau.rows // 2
+    j = standard_symplectic_form(d)
+    if tau.transpose() @ j @ tau != j:
+        raise NotSymplectic("matrix does not preserve the standard symplectic form")
+    try:
+        factors = naive_cyclotomic_factor(char_poly(tau))
+    except NonCyclotomicFactor as exc:
+        raise NotQuasiUnipotent(
+            f"characteristic polynomial has non-cyclotomic factor {exc.remainder}"
+        ) from exc
+    m = math.lcm(*factors)
+    ident = IntMatrix.identity(tau.rows)
+    finite = tau**m == ident
+    if not finite and not ((tau**m - ident) ** 2).is_zero():
+        raise NotPotentiallySemistable(
+            f"(tau^{m} - I)^2 != 0: unipotent part has nilpotency index above 2"
+        )
+    if residue_char > 0 and math.gcd(residue_char, m) != 1:
+        raise WildRamification(
+            f"residue characteristic {residue_char} divides the semisimple order {m}"
+        )
+    index = None
+    if m == 1:
+        nil = tau - ident
+        index = 0
+        if not nil.is_zero():
+            power, index = nil, 1
+            while not power.is_zero():
+                power, index = power @ nil, index + 1
+    content = ((tau - ident) ** 2).content()
+    return m, tuple(sorted(factors.items())), index, finite, content
 
 
 def _poly_divmod(num: List[int], den: List[int]) -> Tuple[List[int], List[int]]:

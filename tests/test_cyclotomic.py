@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from monodromy import (
@@ -18,7 +20,7 @@ from monodromy.cyclotomic import (
     prime_power_components,
 )
 
-from _oracles import naive_semistability_degree
+from _oracles import naive_cyclotomic_factor, naive_semistability_degree
 
 
 class TestIsPrime:
@@ -205,3 +207,28 @@ class TestCyclotomicFactor:
     def test_non_cyclotomic_rejected(self):
         with pytest.raises(NonCyclotomicFactor):
             cyclotomic_factor(IntPoly((-2, 0, 1)))  # x^2 - 2
+
+    def test_matches_trial_division_on_intpolys(self):
+        # products of cyclotomic polynomials, alone and times a random
+        # monic factor, which is cyclotomic only by chance; a refusal
+        # must carry the same remainder
+        rng = random.Random(26)
+        orders = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+        refused = 0
+        for _ in range(400):
+            p = IntPoly((1,))
+            for _ in range(rng.randint(0, 4)):
+                p = p * cyclotomic_poly(rng.choice(orders))
+            if rng.random() < 0.6:
+                p = p * IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [1])
+            try:
+                expected = naive_cyclotomic_factor(p)
+            except NonCyclotomicFactor as exc:
+                refused += 1
+                with pytest.raises(NonCyclotomicFactor) as caught:
+                    cyclotomic_factor(p)
+                assert caught.value.remainder == exc.remainder
+                assert str(caught.value) == str(exc)
+                continue
+            assert cyclotomic_factor(p) == expected
+        assert 100 < refused < 300

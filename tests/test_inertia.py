@@ -30,7 +30,13 @@ from monodromy import (
     standard_symplectic_form,
     witness_exists,
 )
-from monodromy.catalog import block_sum, catalog_matrices, random_symplectic_conjugate
+from monodromy.catalog import (
+    FINITE_ORDER_PRIMITIVES,
+    PRIMITIVES,
+    block_sum,
+    catalog_matrices,
+    random_symplectic_conjugate,
+)
 from monodromy.cyclotomic import DegreeCertificate
 from monodromy.inertia import (
     InertiaGenerator,
@@ -39,7 +45,7 @@ from monodromy.inertia import (
     is_tame,
     require_tame,
 )
-from monodromy.matrices import MatrixError, is_unipotent, smith_normal_form
+from monodromy.matrices import MatrixError, smith_normal_form
 from monodromy.neron import neron_torsion, verify_neron2, verify_neron3, verify_neron4
 from monodromy.torsion import (
     TorsionError,
@@ -55,6 +61,8 @@ from _oracles import (
     brute_fixed_vectors,
     displacements_after,
     elements,
+    is_unipotent,
+    naive_classify,
     naive_product,
     scalar_polarization,
     split_fixed_vectors,
@@ -72,8 +80,29 @@ ROT6 = IntMatrix([[1, -1], [1, 0]])
 SHEAR = IntMatrix([[1, 1], [0, 1]])
 
 
+DEEP = IntMatrix([[1, -1, -1, 0], [0, 1, -1, -1], [0, 0, 1, 0], [0, 0, 1, 1]])
+
+
 def triple(v):
     return (v.hypothesis, v.conclusion, v.agree)
+
+
+def classify_outcome(tau, p=0):
+    """classify's fields and the content of (tau - I)^2 in the oracle's
+    order, or the refusal's type and message."""
+    try:
+        g = classify(tau, p)
+    except InertiaError as exc:
+        return type(exc), str(exc)
+    return (g.semisimple_order, g.factor_orders, g.unipotent_index,
+            g.potentially_good, g.displacement_content)
+
+
+def naive_outcome(tau, p=0):
+    try:
+        return naive_classify(tau, p)
+    except InertiaError as exc:
+        return type(exc), str(exc)
 
 
 class TestClassify:
@@ -83,22 +112,6 @@ class TestClassify:
             unipotent, index = is_unipotent(tau)
             g = classify(tau)
             assert g.unipotent_index == (index if unipotent else None)
-
-    def test_unipotency_check_survives_optimize(self):
-        code = (
-            "import monodromy.inertia as i, monodromy.matrices as m\n"
-            "assert False, 'assert statements must be stripped here'\n"
-            "i.is_unipotent = lambda a: (False, None)\n"
-            "i.classify(m.IntMatrix([[1, 1], [0, 1]]))\n"
-        )
-        proc = subprocess.run([sys.executable, "-O", "-c", code],
-                              env=dict(os.environ, PYTHONPATH=SRC),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        assert proc.stderr.rstrip().endswith(
-            "AssertionError: characteristic polynomial (x - 1)^2d but tau - I "
-            "is not nilpotent"
-        )
 
     def test_identity(self):
         g = classify(I2)
@@ -173,13 +186,27 @@ class TestClassify:
             classify(IntMatrix([[2, 1], [1, 1]]))
 
     def test_deep_unipotent_rejected(self):
-        deep = IntMatrix(
-            [[1, -1, -1, 0], [0, 1, -1, -1], [0, 0, 1, 0], [0, 0, 1, 1]]
-        )
         j = standard_symplectic_form(2)
-        assert deep.transpose() @ j @ deep == j
+        assert DEEP.transpose() @ j @ DEEP == j
         with pytest.raises(NotPotentiallySemistable):
-            classify(deep)
+            classify(DEEP)
+
+    @pytest.mark.parametrize("tau, m", [
+        (DEEP, 1),
+        (-DEEP, 2),
+        (block_sum([DEEP, ROT3]), 3),
+        (block_sum([DEEP, ROT4]), 4),
+    ])
+    def test_deep_unipotent_part_rejected_at_every_order(self, tau, m):
+        # the obstruction is (tau^m - I)^2 != 0 at the semisimple order
+        # m, decided from f(tau)^2 for f the radical of chi
+        rng = random.Random(m)
+        for t in (tau, random_symplectic_conjugate(tau, rng)[0]):
+            with pytest.raises(NotPotentiallySemistable) as caught:
+                classify(t)
+            assert str(caught.value) == (
+                f"(tau^{m} - I)^2 != 0: unipotent part has nilpotency index above 2")
+            assert classify_outcome(t) == naive_outcome(t)
 
     def test_wild_ramification(self):
         with pytest.raises(WildRamification):
@@ -555,6 +582,95 @@ class TestPurelyAdditiveCriteria:
         )
         with pytest.raises(HypothesisNotMet):
             purely_additive_criteria(classify(mixed))
+
+
+class TestOneFaddeevLeverrierRun:
+    """classify decides finite order, the obstruction and the content of
+    (tau - I)^2 from one Faddeev-LeVerrier run; the oracle decides them
+    from the definitions (tau**m, (tau**m - I)**2, (tau - I)**2)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_catalog_and_conjugates_match_the_definitions(self, d):
+        rng = random.Random(26 + d)
+        primes = (0, 2, 3, 5)
+        for i, tau in enumerate(catalog_matrices(d)):
+            conj = random_symplectic_conjugate(tau, rng)[0]
+            for t in (tau, conj):
+                p = primes[i % len(primes)]
+                assert classify_outcome(t, p) == naive_outcome(t, p), (t, p)
+
+    def test_block_sums_like_the_benchmark_match_the_definitions(self):
+        rng = random.Random(401)
+        twisted = FINITE_ORDER_PRIMITIVES[1:]
+        kinds = set()
+        for _ in range(150):
+            d = rng.randint(1, 3)
+            blocks = [rng.choice(twisted)] + [rng.choice(PRIMITIVES) for _ in range(d - 1)]
+            rng.shuffle(blocks)
+            tau = random_symplectic_conjugate(block_sum(blocks), rng)[0]
+            p = rng.choice((0, 2, 3, 5, 7, 11, 13))
+            got = classify_outcome(tau, p)
+            assert got == naive_outcome(tau, p), (tau, p)
+            kinds.add(got[0].__name__ if isinstance(got[0], type) else got[3])
+        assert kinds == {True, False, "WildRamification"}
+
+    def test_refusals_match_the_definitions(self):
+        for tau in (IntMatrix([[2, 1], [1, 1]]), IntMatrix([[2, 0], [0, 1]]),
+                    IntMatrix([[1, 2, 3]]), IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])):
+            got = classify_outcome(tau)
+            assert isinstance(got[0], type) and got == naive_outcome(tau)
+        assert classify_outcome(I2, -1) == naive_outcome(I2, -1)
+
+    def test_squarefree_chi_needs_no_evaluation(self, monkeypatch):
+        # chi squarefree means f = chi, which vanishes at tau by the
+        # Cayley-Hamilton check the run already made
+        import monodromy.inertia as inertia
+
+        taus = [ROT3, ROT4, block_sum([ROT3, ROT4]), block_sum([ROT4, ROT6]),
+                block_sum([ROT6, ROT3, ROT4])]
+        rng = random.Random(7)
+        taus += [random_symplectic_conjugate(t, rng)[0] for t in taus]
+        monkeypatch.setattr(inertia, "_poly_at", None)
+        gens = [classify(t) for t in taus]
+        monkeypatch.undo()
+        for t, g in zip(taus, gens):
+            assert g.potentially_good
+            assert classify_outcome(t) == naive_outcome(t)
+
+    def test_no_power_and_one_product_only_at_infinite_order(self, monkeypatch):
+        import monodromy.inertia as inertia
+
+        products, runs = [], []
+        real_matmul, real_run = IntMatrix.__matmul__, inertia._faddeev_leverrier
+        monkeypatch.setattr(IntMatrix, "__pow__", None)
+        monkeypatch.setattr(IntMatrix, "__matmul__",
+                            lambda a, b: products.append(1) or real_matmul(a, b))
+        monkeypatch.setattr(inertia, "_faddeev_leverrier",
+                            lambda a: runs.append(1) or real_run(a))
+        cases = ((block_sum([ROT4, MINUS]), 0), (block_sum([ROT3, I2, ROT6]), 0),
+                 (SHEAR, 1), (block_sum([SHEAR, ROT3]), 1), (block_sum([ROT4, SHEAR]), 1))
+        for tau, expected in cases:
+            del products[:], runs[:]
+            g = classify(tau)
+            g.displacement_content
+            g.fixes_maximal_isotropic(5)
+            assert (len(products), len(runs)) == (expected, 1)
+
+    def test_a_generator_built_directly_runs_it_once(self, monkeypatch):
+        import monodromy.inertia as inertia
+
+        runs = []
+        real_run = inertia._faddeev_leverrier
+        monkeypatch.setattr(inertia, "_faddeev_leverrier",
+                            lambda a: runs.append(a) or real_run(a))
+        g = classify(block_sum([SHEAR, MINUS]))
+        twin = InertiaGenerator(g.matrix, g.residue_char, g.dimension, g.factor_orders,
+                                g.semisimple_order, g.unipotent_index, g.potentially_good)
+        assert "_horner" not in twin.__dict__
+        assert twin.displacement_content == g.displacement_content == 4
+        twin.displacement_content
+        assert runs == [g.matrix, g.matrix]
+        assert twin.__dict__["_horner"] == g.__dict__["_horner"]
 
 
 class TestGeneratorMemo:

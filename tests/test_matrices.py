@@ -13,7 +13,6 @@ from monodromy import (
     char_poly,
     exterior_power,
     howell_form,
-    is_unipotent,
     kernel_mod_n,
     smith_normal_form,
     standard_symplectic_form,
@@ -27,6 +26,7 @@ from _oracles import (
     determinant_divisor_snf,
     hermite_normal_form,
     inverse_unimodular,
+    is_unipotent,
     leibniz_char_poly,
     leibniz_det,
     naive_howell_form,

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import monodromy.matrices as matrices
 import monodromy.suites as suites
 from monodromy import SUITE_IDS, SuiteError, SuiteReport, canonical_json, run_suite
 
@@ -183,3 +184,36 @@ def test_torsion_identity_fires_under_optimize():
     assert optimize == 1
     assert violations > 0
     assert failure.startswith("kernel-count identity failed at n=2")
+
+
+def test_linalg_properties_are_checked_one_by_one(monkeypatch):
+    # A doubled Bezout pair breaks every routine built on the extended
+    # gcd: the Smith form (which then raises its own check), the Howell
+    # form and the kernels.  Each unit still checks all six properties,
+    # records each broken one once, and the exterior power and the
+    # characteristic polynomial, which do not use it, keep passing.
+    xgcd = matrices._xgcd
+
+    def doubled(a, b):
+        g, s, t = xgcd(a, b)
+        return g, 2 * s, 2 * t
+
+    monkeypatch.setattr(matrices, "_xgcd", doubled)
+    report = run_suite("linalg-properties", trials=20, seed=0, d_max=2)
+    assert report.checked == 120
+    assert not any(f.startswith("unit raised") for f in report.failures)
+    broken = set()
+    for i in range(20):
+        checked, failures = suites._linalg_unit(i, 0, 2)
+        assert checked == 6
+        names = [f.split(" for ")[0] for f in failures]
+        assert len(names) == len(set(names))
+        broken.update(names)
+    assert broken == {
+        "smith decomposition broken",
+        "howell form not idempotent",
+        "howell form not canonical",
+        "kernel wrong",
+    }
+    assert report.violations == sum(
+        len(suites._linalg_unit(i, 0, 2)[1]) for i in range(20))
