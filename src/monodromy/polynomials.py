@@ -57,11 +57,6 @@ class IntPoly(Record):
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -126,9 +121,6 @@ class IntPoly(Record):
 
     def __mod__(self, divisor: "IntPoly") -> "IntPoly":
         return divmod(self, divisor)[1]
-
-    def __floordiv__(self, divisor: "IntPoly") -> "IntPoly":
-        return divmod(self, divisor)[0]
 
     def exact_div(self, divisor: "IntPoly") -> "IntPoly":
         quo, rem = divmod(self, divisor)

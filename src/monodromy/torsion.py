@@ -160,15 +160,6 @@ class Subgroup(Record):
         pivots = howell_pivots(other.gens)
         return all(_in_span(other.gens, pivots, row) for row in self.gens.data)
 
-    def apply(self, a: ModMatrix) -> "Subgroup":
-        """Image under x -> a x (generators transform by right
-        multiplication with a^T)."""
-        if a.modulus != self.module.level or a.rows != self.module.rank:
-            raise TorsionError("matrix does not act on this module")
-        if self.gens.rows == 0:
-            return self
-        return Subgroup(self.module, howell_form(self.gens @ a.transpose()))
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, gens={self.gens.to_lists()!r} mod {self.module.level})"
 

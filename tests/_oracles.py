@@ -699,7 +699,7 @@ RECORD_DECLARATIONS = {
     "Scenario": ("dimension", "residue_char", "tau", ("polarization", None),
                  ("level", None), ("strictly_henselian", False), ("seed", 0)),
     "HypothesisInstance": ("family", "level", "base", "matrix", "conjugator",
-                           "conjugator_inverse", "residue_char", "witness"),
+                           "conjugator_inverse", "residue_char"),
     "CohomologyAction": ("degree", "modulus", "base", "matrix"),
     "SuiteReport": ("suite", "trials", "seed", "d_max", "checked", "violations",
                     "failures"),

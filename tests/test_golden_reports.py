@@ -5,9 +5,8 @@ golden_reports.json maps "d/index" (position in catalog_matrices(d))
 to the SHA-256 of canonical_json + render_text for the scenario
 (d, p = 0, tau).  It covers every d = 1 entry and every d = 2 entry
 that is not semistable.  The 16 semistable d = 2 entries, which run the
-witness scan and build their fixed maximal isotropic subgroups by
-isotropic extension, share one digest, as do the non-semistable d = 3
-entries with conjugates with large entries.
+exhaustive witness scan, share one digest, as do the non-semistable
+d = 3 entries with conjugates with large entries.
 """
 
 import hashlib

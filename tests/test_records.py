@@ -63,9 +63,9 @@ def _samples():
                           (2, 4, (2, 2), (2,), 1)],
         "Scenario": [(1, 3, shear), (1, 3, shear2, None, None, False, 0),
                      (1, 3, shear, Polarization(ident), 5, True, 7)],
-        "HypothesisInstance": [("neron2", 5, shear, shear, ident, ident, 0, None),
-                               ("neron2", 5, shear2, shear, ident, ident, 0, None),
-                               ("neron3", 5, shear, shear, ident, ident, 0, full)],
+        "HypothesisInstance": [("neron2", 5, shear, shear, ident, ident, 0),
+                               ("neron2", 5, shear2, shear, ident, ident, 0),
+                               ("neron3", 5, shear, shear, ident, ident, 3)],
         "CohomologyAction": [(1, 0, shear, shear), (1, 0, shear2, shear2),
                              (1, 5, shear.reduce_mod(5), shear.reduce_mod(5))],
         "SuiteReport": [("neron2", 4, 1, 2, 10, 0, ()), ("neron2", 4, 1, 2, 10, 0, ()),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,9 +16,17 @@ from monodromy import (
     load_scenario,
     scenario_from_dict,
 )
-from monodromy.torsion import fixes_pointwise
+from monodromy.catalog import ORDER_3, ORDER_4, SHEARS
+from monodromy.torsion import (
+    extend_to_maximal_isotropic,
+    fixed_subgroup,
+    fixes_pointwise,
+    orthogonal_complement,
+    standard_module,
+)
 
 MINUS = [[-1, 0], [0, -1]]
+INSTANCES_SHA256 = "111ebb3bb45f5c7116e308361632f49b0e28f300e4a58e0d19531428e685fe6a"
 # symplectic, but it does not commute with P = diag(1, 2, 1, 2), so it
 # does not preserve J P
 NOT_PRESERVED = {
@@ -96,6 +105,10 @@ class TestScenarioParsing:
              "field 'polarization' must induce an alternating form"),
             (minimal(n=1), "field 'n' must be >= 2"),
             (NOT_PRESERVED, "field 'polarization' must be preserved by tau"),
+            (minimal(tau=[[], [1]]), "field 'tau' has rows of unequal length"),
+            (minimal(tau=[[]]), "field 'tau' must have nonempty rows"),
+            (minimal(tau=[[], []]), "field 'tau' must have nonempty rows"),
+            (minimal(polarization=[[]]), "field 'polarization' must have nonempty rows"),
         ],
     )
     def test_rejects_with_named_field(self, obj, fragment):
@@ -157,10 +170,48 @@ class TestHypothesisInstances:
             )
             gen = classify(inst.matrix, inst.residue_char)
             assert gen.residue_char == inst.residue_char
-            assert inst.witness is not None
+            # the hypothesis by its definition: the fixed subgroup of
+            # the level-n module, a kernel computed mod n, contains its
+            # orthogonal complement, and then its isotropic extension
+            # is a maximal isotropic subgroup fixed pointwise
+            module = standard_module(inst.level, inst.matrix.rows // 2)
+            fix = fixed_subgroup(inst.matrix, module)
+            assert orthogonal_complement(fix).is_subgroup_of(fix)
             assert fixes_pointwise(
-                inst.matrix.reduce_mod(inst.level), inst.witness
+                inst.matrix.reduce_mod(inst.level), extend_to_maximal_isotropic(fix)
             )
+
+    def test_instances_pinned(self):
+        # SHA-256 of every instance of the five families at count 8,
+        # d_max 3, seed 5: the draws from the rng and the conjugation
+        # stay as they were
+        digest = hashlib.sha256()
+        for family in self.FAMILIES:
+            for inst in generate_hypothesis_instances(family, 8, 3, seed=5):
+                digest.update(repr((
+                    inst.family, inst.level, inst.base.data, inst.matrix.data,
+                    inst.conjugator.data, inst.conjugator_inverse.data,
+                    inst.residue_char,
+                )).encode())
+        assert digest.hexdigest() == INSTANCES_SHA256
+
+    @pytest.mark.parametrize("family,block", [
+        ("neron2", ORDER_3), ("neron4a", ORDER_4), ("neron4a", SHEARS[0]),
+    ])
+    def test_instance_missing_the_hypothesis_is_refused(self, monkeypatch, family, block):
+        # (tau - I)^2 is -3 tau for ORDER_3 and -2 tau for ORDER_4, so
+        # neither fixes a maximal isotropic subgroup at level 2 resp. 4.
+        # The shear does at level 4 ((tau - I)^2 = 0) but moves the
+        # two-torsion.  The check is explicit, so it fires under
+        # python -O as well.
+        import monodromy.scenarios as scenarios
+
+        families = dict(scenarios._families())
+        level, _, chars = families[family]
+        families[family] = (level, (block,), chars)
+        monkeypatch.setattr(scenarios, "_families", lambda: families)
+        with pytest.raises(AssertionError, match=f"{family} instance .* level {level}"):
+            generate_hypothesis_instances(family, 3, 2, seed=0)
 
     def test_levels_per_family(self):
         levels = {

@@ -242,21 +242,6 @@ class TestSubgroup:
                 assert s.order == len(members)
                 assert subgroup_structure(s) == structure_from_counts(members, n)
 
-    def test_apply(self):
-        m = standard_module(5, 1)
-        s = m.subgroup([[1, 0]])
-        rot = ModMatrix(5, [[0, -1], [1, 0]])
-        image = s.apply(rot)
-        assert contains(image, (0, 1))
-        assert image.order == 5
-        # trivial subgroup maps to itself
-        assert m.subgroup([]).apply(rot).order == 1
-
-    def test_apply_respects_modulus(self):
-        m = standard_module(5, 1)
-        with pytest.raises(TorsionError):
-            full_subgroup(m).apply(ModMatrix(7, [[1, 0], [0, 1]]))
-
 
 class TestOrthogonalComplement:
     def test_extremes(self):
