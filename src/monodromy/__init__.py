@@ -47,7 +47,6 @@ _EXPORTS = {
         "semistability_degree",
     ),
     "torsion": (
-        "DegeneratePairingError",
         "EnumerationCapError",
         "Polarization",
         "Subgroup",
@@ -57,7 +56,6 @@ _EXPORTS = {
         "extend_to_maximal_isotropic",
         "fixed_subgroup",
         "fixes_pointwise",
-        "induced_pairing",
         "orthogonal_complement",
         "standard_module",
     ),

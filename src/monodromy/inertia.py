@@ -39,9 +39,9 @@ from .polynomials import cyclotomic_poly
 from .torsion import (
     Polarization,
     Subgroup,
+    TorsionError,
     TorsionModule,
     fixes_pointwise,
-    induced_pairing,
     enumerate_subgroups,
     orthogonal_complement,
     standard_module,
@@ -206,30 +206,36 @@ class InertiaGenerator(Record):
 
     def fixes_maximal_isotropic(self, n: int, pol: Optional[Polarization] = None) -> bool:
         """Whether tau fixes some maximal isotropic subgroup of the
-        level-n module pointwise, under the pairing induced by pol (the
-        standard one when pol is None).
+        level-n module pointwise, under the pairing J P mod n (J when
+        pol is None).
 
         The fixed subgroup FIX is the largest candidate, so one exists
         iff FIX-perp <= FIX, and then the isotropic extension of FIX
-        (torsion.extend_to_maximal_isotropic) is one.  tau preserves
-        the pairing, so FIX-perp = im(tau - I) and the containment is
-        (tau - I)^2 = 0 mod n: n divides displacement_content.
+        (torsion.extend_to_maximal_isotropic) is one.  For any
+        nondegenerate pairing tau preserves, FIX-perp = im(tau - I), so
+        the containment is (tau - I)^2 = 0 mod n: n divides
+        displacement_content.  J P mod n is nondegenerate iff
+        gcd(det P, n) = 1, as det J = 1, so with pol that gcd is the
+        whole gate and no module is built.
 
         Raises:
-          TorsionError: J P is not alternating mod n.
-          DegreeObstruction: induced pairing degenerate (polarization
-            degree shares a factor with n).
-          InertiaError: tau does not preserve J P.
+          TorsionError: pol's size does not match tau.
           MatrixError: n is not an integer >= 1.
+          DegreeObstruction: the polarization degree shares a factor
+            with n (J P mod n is degenerate).
+          InertiaError: tau does not preserve J P.
         """
+        if pol is not None and pol.matrix.rows != self.rank:
+            raise TorsionError("polarization size does not match the module")
+        n = _check_modulus(n)
         if pol is not None:
-            if not induced_pairing(self.module(n), pol).is_nondegenerate():
+            if math.gcd(pol.degree, n) != 1:
                 raise DegreeObstruction(
                     f"polarization degree {pol.degree} shares a factor with level {n}"
                 )
             if not pol.preserved_by(self.matrix):
                 raise InertiaError("tau does not preserve the polarization form J P")
-        return self.displacement_content % _check_modulus(n) == 0
+        return self.displacement_content % n == 0
 
 
 def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
@@ -435,12 +441,12 @@ def level_structure_criterion(gen: InertiaGenerator, n: int,
     Forward: a fixed maximal isotropic subgroup at level n >= 5 forces
     semistability.  Converse: semistability yields one.  Both need the
     polarization degree prime to n, which is exactly nondegeneracy of
-    the induced pairing.  Existence is gen.fixes_maximal_isotropic;
-    no subgroup is built.
+    J P mod n.  Existence is gen.fixes_maximal_isotropic; no subgroup
+    or module is built.
 
     Raises:
-      DegreeObstruction: induced pairing degenerate (degree shares a
-        factor with n); neither direction is then modeled.
+      DegreeObstruction: the polarization degree shares a factor with
+        n; neither direction is then modeled.
     """
     require_tame(gen.residue_char, n)
     exists = gen.fixes_maximal_isotropic(n, pol)

@@ -180,8 +180,8 @@ def _neron_entry(gen: InertiaGenerator, excluded: int, level: Optional[int],
                  pol: Optional[Polarization]) -> NeronInvariants:
     """The entry check the verifiers share: tau of finite order, residue
     characteristic other than excluded, and, unless level is None, a
-    fixed maximal isotropic subgroup at level (a degenerate induced
-    pairing counts as none).
+    fixed maximal isotropic subgroup at level (a polarization degree
+    that shares a factor with level counts as none).
 
     Raises:
       NotPotentiallyGood, HypothesisNotMet.
@@ -303,7 +303,7 @@ def verify_neron4(gen: InertiaGenerator, mode: str,
 
     mode "a": tau acts trivially on the two-torsion.
     mode "b": a fixed maximal isotropic subgroup of the four-torsion
-    exists for the induced pairing.
+    exists for the pairing J P mod 4.
 
     Clauses: X_4(F) isomorphic to (Z/4)^(2a) x (Z/2)^(2u); the index
     [X_4 : X_4(F)] = 2^(2u); X_2 sits inside X_4(F) with index 2^(2a);

@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Tuple
 from ._record import Record
 from .cyclotomic import is_prime
 from .inertia import InertiaGenerator, classify
-from .matrices import DimensionError, IntMatrix, MatrixError, standard_symplectic_form
-from .torsion import Polarization
+from .matrices import DimensionError, IntMatrix, MatrixError
+from .torsion import Polarization, TorsionError
 
 
 class ScenarioError(ValueError):
@@ -130,16 +130,12 @@ def scenario_from_dict(obj: Dict) -> Scenario:
             raise ScenarioError(
                 f"field 'polarization' must be {2 * d} x {2 * d} for d = {d}"
             )
-        if mat.det() == 0:
-            raise ScenarioError("field 'polarization' must be nonsingular, "
-                                "but its determinant is 0")
-        # the pairing it induces at every level is J P mod n; over Z,
-        # antisymmetry alone forces the zero diagonal
-        riemann = standard_symplectic_form(d) @ mat
-        if riemann.transpose() != -riemann:
-            raise ScenarioError("field 'polarization' must induce an alternating form: "
-                                "J P must be antisymmetric, J the standard symplectic form")
-        pol = Polarization(mat)
+        try:
+            pol = Polarization(mat)
+        except TorsionError as exc:
+            # Polarization names its subject "polarization matrix"
+            raise ScenarioError(str(exc).replace(
+                "polarization matrix", "field 'polarization'", 1)) from None
     level = None
     if "n" in obj:
         level = _require_int(obj, "n", 2)
@@ -176,8 +172,8 @@ class HypothesisInstance(Record):
     conjugator_inverse, checked to satisfy its family's entry
     hypothesis at the family's level."""
 
-    __slots__ = _fields = ("family", "level", "base", "matrix", "conjugator",
-                           "conjugator_inverse", "residue_char")
+    _fields = ("family", "level", "base", "matrix", "conjugator",
+               "conjugator_inverse", "residue_char")
 
     def __init__(self, family: str, level: int, base: IntMatrix, matrix: IntMatrix,
                  conjugator: IntMatrix, conjugator_inverse: IntMatrix,
@@ -190,6 +186,16 @@ class HypothesisInstance(Record):
         put(self, "conjugator", conjugator)
         put(self, "conjugator_inverse", conjugator_inverse)
         put(self, "residue_char", residue_char)
+
+    @cached_property
+    def _generator(self) -> InertiaGenerator:
+        return classify(self.matrix, self.residue_char)
+
+    def generator(self) -> InertiaGenerator:
+        """The matrix classified at residue_char, kept in the instance
+        __dict__ outside the fields; generate_hypothesis_instances
+        seeds it with the generator its check classified."""
+        return self._generator
 
 
 @lru_cache(maxsize=None)
@@ -234,12 +240,14 @@ def generate_hypothesis_instances(
     """Instances of one family's hypothesis class, deterministically
     from (family, count, d_max, seed).
 
-    Every instance is checked once, on its conjugated matrix, in every
-    interpreter mode: it fixes a maximal isotropic subgroup at the
-    level (tau - I squares to 0 there), and for neron4a it is also
-    trivial on the two-torsion.  Conjugation by a unimodular matrix
-    keeps both, so the check fails only on a wrong family table or a
-    wrong conjugator pair.
+    Every instance is classified once, at its residue characteristic
+    (each family's characteristics are tame for its block orders), and
+    the instance keeps that generator for the suites.  It is checked
+    once, on its conjugated matrix, in every interpreter mode: it fixes
+    a maximal isotropic subgroup at the level (tau - I squares to 0
+    there), and for neron4a it is also trivial on the two-torsion.
+    Conjugation by a unimodular matrix keeps both, so the check fails
+    only on a wrong family table or a wrong conjugator pair.
 
     Raises:
       ScenarioError: unknown instance family.
@@ -260,7 +268,7 @@ def generate_hypothesis_instances(
         base = block_sum([blocks[rng.randrange(len(blocks))] for _ in range(d)])
         p = chars[rng.randrange(len(chars))]
         matrix, u, u_inv = random_symplectic_conjugate(base, rng)
-        gen = classify(matrix)
+        gen = classify(matrix, p)
         if not gen.fixes_maximal_isotropic(level) or (
             family == "neron4a" and not gen.fixes_all_torsion(2)
         ):
@@ -268,5 +276,7 @@ def generate_hypothesis_instances(
                 f"{family} instance {matrix.to_lists()} misses the family's "
                 f"hypothesis at level {level}"
             )
-        out.append(HypothesisInstance(family, level, base, matrix, u, u_inv, p))
+        inst = HypothesisInstance(family, level, base, matrix, u, u_inv, p)
+        vars(inst)["_generator"] = gen
+        out.append(inst)
     return out

@@ -129,11 +129,9 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(derive_seed(seed, index))
 
 
-def _random_catalog_matrix(
-    rng: random.Random, d_max: int, finite_only: bool = False
-) -> IntMatrix:
+def _random_catalog_matrix(rng: random.Random, d_max: int) -> IntMatrix:
     d = rng.randint(1, d_max)
-    pool = catalog_matrices(d, finite_only)
+    pool = catalog_matrices(d)
     return random_symplectic_conjugate(pool[rng.randrange(len(pool))], rng)[0]
 
 
@@ -285,7 +283,7 @@ def _build_family_suite(family: str, verifier) -> Callable:
         def unit(index: int) -> Tuple[int, List[str]]:
             inst = instances[index]
             tag = f"{family} instance {index} tau={_fmt(inst.matrix)}"
-            gen = classify(inst.matrix, inst.residue_char)
+            gen = inst.generator()
             try:
                 verdicts = verifier(gen)
             except Exception as exc:

@@ -1,21 +1,23 @@
 """Torsion points at a fixed level as a pairing-equipped module.
 
 The n-torsion of a d-dimensional abelian variety is modeled as
-(Z/nZ)^(2d) carrying an alternating Gram matrix, with the Weil pairing
-values written additively in Z/nZ.  Subgroups are stored by canonical
-Howell-form generator matrices, so equality of subgroups is equality
-of data, and every operation downstream (orthogonal complements,
-isotropic extensions, fixed subgroups, exhaustive subgroup search) is
-deterministic and exact.
+(Z/nZ)^(2d) carrying the standard alternating pairing J mod n, with the
+Weil pairing values written additively in Z/nZ; det J = 1, so the
+pairing is nondegenerate at every level.  A polarization P enters only
+through its degree and the form J P that tau must preserve (see
+Polarization): no module carries another pairing.  Subgroups are stored
+by canonical Howell-form generator matrices, so equality of subgroups
+is equality of data, and every operation downstream (orthogonal
+complements, isotropic extensions, fixed subgroups, exhaustive subgroup
+search) is deterministic and exact.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ._record import Record
 from .matrices import (
@@ -32,10 +34,6 @@ from .polynomials import divisors
 
 
 class TorsionError(ValueError):
-    pass
-
-
-class DegeneratePairingError(TorsionError):
     pass
 
 
@@ -67,40 +65,22 @@ def standard_module(n: int, d: int) -> "TorsionModule":
 
 
 class TorsionModule:
-    """(Z/nZ)^(2d) with an alternating pairing <x, y> = x^T G y."""
+    """(Z/nZ)^(2d) with the standard pairing <x, y> = x^T J y mod n."""
 
-    __slots__ = ("level", "dimension", "gram", "_nondegenerate")
+    __slots__ = ("level", "dimension", "gram")
 
-    def __init__(
-        self,
-        level: int,
-        dimension: int,
-        gram: Optional[Union[ModMatrix, IntMatrix]] = None,
-    ) -> None:
+    def __init__(self, level: int, dimension: int) -> None:
         level = _size(level, "level")
         dimension = _size(dimension, "dimension")
-        if gram is None:
-            gram = standard_symplectic_form(dimension)
-        if isinstance(gram, IntMatrix):
-            gram = gram.reduce_mod(level)
-        if gram.modulus != level:
-            raise TorsionError("Gram modulus does not match the level")
-        if gram.rows != 2 * dimension or gram.cols != 2 * dimension:
-            raise TorsionError("Gram matrix must be 2d x 2d")
-        if gram.transpose() != -gram or any(
-            gram.data[i][i] % level for i in range(2 * dimension)
-        ):
-            raise TorsionError("pairing must be alternating")
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_nondegenerate", math.gcd(gram.det(), level) == 1)
+        object.__setattr__(self, "gram", standard_symplectic_form(dimension).reduce_mod(level))
 
     def __setattr__(self, name, value):
         raise AttributeError("TorsionModule is immutable")
 
     def __reduce__(self):
-        return TorsionModule, (self.level, self.dimension, self.gram)
+        return TorsionModule, (self.level, self.dimension)
 
     @property
     def rank(self) -> int:
@@ -109,9 +89,6 @@ class TorsionModule:
     @property
     def order(self) -> int:
         return self.level ** self.rank
-
-    def is_nondegenerate(self) -> bool:
-        return self._nondegenerate
 
     def subgroup(self, generators) -> "Subgroup":
         """Subgroup spanned by the given row vectors."""
@@ -123,11 +100,10 @@ class TorsionModule:
             isinstance(other, TorsionModule)
             and self.level == other.level
             and self.dimension == other.dimension
-            and self.gram == other.gram
         )
 
     def __hash__(self) -> int:
-        return hash(("TorsionModule", self.level, self.dimension, self.gram))
+        return hash(("TorsionModule", self.level, self.dimension))
 
     def __repr__(self) -> str:
         return f"TorsionModule(level={self.level}, dimension={self.dimension})"
@@ -190,38 +166,38 @@ def _in_span(h: ModMatrix, pivots: Sequence[Tuple[int, int]],
 
 
 class Polarization(Record):
-    """Integer 2d x 2d matrix standing in for an isogeny to the dual."""
+    """Integer 2d x 2d matrix P standing in for an isogeny to the dual.
 
-    __slots__ = _fields = ("matrix",)
+    P is square of even size and nonsingular, and its Riemann form J P
+    (J the standard symplectic form) is antisymmetric over Z, hence
+    alternating at every level.  Each is checked here, so every
+    Polarization in hand is one.  degree = |det P| = |det J P| (det J =
+    1) and the form J P are kept outside the fields.
+    """
+
+    __slots__ = ("matrix", "degree", "form")
+    _fields = ("matrix",)
 
     def __init__(self, matrix: IntMatrix) -> None:
         if not matrix.is_square or matrix.rows % 2:
             raise TorsionError("polarization matrix must be square of even size")
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def degree(self) -> int:
-        return abs(self.matrix.det())
+        degree = abs(matrix.det())
+        if degree == 0:
+            raise TorsionError("polarization matrix must be nonsingular, "
+                               "but its determinant is 0")
+        form = standard_symplectic_form(matrix.rows // 2) @ matrix
+        # over Z, antisymmetry alone forces the zero diagonal
+        if form.transpose() != -form:
+            raise TorsionError("polarization matrix must induce an alternating form: "
+                               "J P must be antisymmetric, J the standard symplectic form")
+        put = object.__setattr__
+        put(self, "matrix", matrix)
+        put(self, "degree", degree)
+        put(self, "form", form)
 
     def preserved_by(self, tau: IntMatrix) -> bool:
-        """Whether tau^T (J P) tau = J P over Z, J the standard form."""
-        form = standard_symplectic_form(self.matrix.rows // 2) @ self.matrix
-        return tau.transpose() @ form @ tau == form
-
-
-def induced_pairing(module: TorsionModule, pol: Polarization) -> TorsionModule:
-    """Module at the same level with Gram matrix G * pol mod n.
-
-    Degenerate results are accepted (degree sharing a factor with the
-    level); a non-alternating result is rejected.
-    """
-    if pol.matrix.rows != module.rank:
-        raise TorsionError("polarization size does not match the module")
-    gram = (module.gram.lift() @ pol.matrix).reduce_mod(module.level)
-    try:
-        return TorsionModule(module.level, module.dimension, gram)
-    except TorsionError:
-        raise TorsionError("induced form is not alternating at this level")
+        """Whether tau^T (J P) tau = J P over Z."""
+        return tau.transpose() @ self.form @ tau == self.form
 
 
 # bounded, so a long run over ever new subgroups does not grow it
@@ -342,16 +318,15 @@ def _contains_scaled_basis(h: List[List[int]], n: int, c: int) -> bool:
 def extend_to_maximal_isotropic(s: Subgroup) -> Subgroup:
     """Deterministic maximal isotropic H with s-perp <= H <= s.
 
-    Requires a nondegenerate pairing and s-perp <= s.  Starting from
-    H = s-perp, adjoin the first Howell row of H-perp that is not in H
-    until every row of H-perp is.  The pairing is alternating, so each
-    adjoined row keeps H isotropic; s-perp <= H gives H-perp <= s, so H
-    stays inside s; and the loop ends at H-perp <= H <= H-perp.  Each
-    step grows H, so there are at most as many steps as n^d has prime
-    factors counted with multiplicity, each with one complement.
+    Requires s-perp <= s; the pairing J mod n is nondegenerate at every
+    level.  Starting from H = s-perp, adjoin the first Howell row of
+    H-perp that is not in H until every row of H-perp is.  The pairing
+    is alternating, so each adjoined row keeps H isotropic; s-perp <= H
+    gives H-perp <= s, so H stays inside s; and the loop ends at
+    H-perp <= H <= H-perp.  Each step grows H, so there are at most as
+    many steps as n^d has prime factors counted with multiplicity, each
+    with one complement.
     """
-    if not s.module.is_nondegenerate():
-        raise DegeneratePairingError("isotropic extension needs a nondegenerate pairing")
     h = orthogonal_complement(s)
     if not h.is_subgroup_of(s):
         raise TorsionError("orthogonal complement is not contained in the subgroup")

@@ -20,7 +20,6 @@ from itertools import permutations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from monodromy import (
-    DegeneratePairingError,
     InertiaError,
     IntMatrix,
     IntPoly,
@@ -321,6 +320,14 @@ def elements(s) -> Iterator[Tuple[int, ...]]:
             cur = tuple((a + b) % n for a, b in zip(cur, row))
 
     return walk(0, (0,) * s.module.rank)
+
+
+def riemann_form(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """J P over Z for the rows of P, J = [[0, I], [-I, 0]]: row i of
+    J P is row d + i of P, and row d + i is minus row i."""
+    d = len(rows) // 2
+    return [list(rows[i + d]) if i < d else [-x for x in rows[i - d]]
+            for i in range(2 * d)]
 
 
 def scalar_polarization(d: int, m: int):
@@ -643,13 +650,9 @@ def is_isotropic(s) -> bool:
 
 
 def is_maximal_isotropic(s) -> bool:
-    """Whether s equals its own orthogonal complement.
-
-    Needs a nondegenerate pairing; for degenerate forms maximality is
-    not characterized by self-orthogonality.
-    """
-    if not s.module.is_nondegenerate():
-        raise DegeneratePairingError("maximality test needs a nondegenerate pairing")
+    """Whether s equals its own orthogonal complement, which
+    characterizes maximality because the module's pairing J mod n is
+    nondegenerate."""
     return s == orthogonal_complement(s)
 
 
@@ -707,8 +710,17 @@ RECORD_DECLARATIONS = {
 
 
 def _polarization_post_init(self):
-    if not self.matrix.is_square or self.matrix.rows % 2:
+    rows = self.matrix.data
+    size = len(rows)
+    if not self.matrix.is_square or size % 2:
         raise TorsionError("polarization matrix must be square of even size")
+    if leibniz_det(rows) == 0:
+        raise TorsionError("polarization matrix must be nonsingular, "
+                           "but its determinant is 0")
+    form = riemann_form(rows)
+    if any(form[i][j] != -form[j][i] for i in range(size) for j in range(size)):
+        raise TorsionError("polarization matrix must induce an alternating form: "
+                           "J P must be antisymmetric, J the standard symplectic form")
 
 
 def _subgroup_repr(self):

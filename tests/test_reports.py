@@ -210,3 +210,28 @@ class TestNoIsotropicSubgroupBuilt:
                         reports += 1
         assert calls == [] and howell_calls == [] and fixed_calls == []
         assert reports == 4 * (len(catalog_matrices(1)) + len(catalog_matrices(2)))
+
+
+def test_polarized_non_semistable_reports_build_no_module(monkeypatch):
+    # with a polarization the level-structure, quartic and Neron entry
+    # checks gate on gcd(deg P, n) and read one content: no module is
+    # built, at p = 0 (level 5, ungated) or p = 5 (level 6, which the
+    # degree 4 gates out).  The default level is 5 or more, so a
+    # non-semistable report runs no witness scan
+    import monodromy.torsion as torsion
+    from monodromy import classify, galois_criterion
+
+    built = []
+    init = torsion.TorsionModule.__init__
+    monkeypatch.setattr(torsion.TorsionModule, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    torsion.standard_module.cache_clear()
+    pol = Polarization(IntMatrix([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]))
+    reports = 0
+    for tau in catalog_matrices(2):
+        if galois_criterion(classify(tau)):
+            continue
+        for p in (0, 5):
+            build_report(Scenario(2, p, tau, pol))
+            reports += 1
+    assert reports == 2 * 105 and built == []

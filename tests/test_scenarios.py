@@ -170,6 +170,7 @@ class TestHypothesisInstances:
             )
             gen = classify(inst.matrix, inst.residue_char)
             assert gen.residue_char == inst.residue_char
+            assert inst.generator() == gen
             # the hypothesis by its definition: the fixed subgroup of
             # the level-n module, a kernel computed mod n, contains its
             # orthogonal complement, and then its isotropic extension

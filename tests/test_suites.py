@@ -217,3 +217,19 @@ def test_linalg_properties_are_checked_one_by_one(monkeypatch):
     }
     assert report.violations == sum(
         len(suites._linalg_unit(i, 0, 2)[1]) for i in range(20))
+
+
+def test_neron_instances_are_classified_once(monkeypatch):
+    # the hypothesis check classifies each instance at its residue
+    # characteristic, and the suite unit reads that generator
+    import monodromy.inertia as inertia
+    import monodromy.scenarios as scenarios
+
+    calls = []
+    real = inertia.classify
+    for module in (inertia, scenarios, suites):
+        monkeypatch.setattr(module, "classify",
+                            lambda *args: calls.append(args) or real(*args))
+    report = run_suite("neron2", trials=20, seed=1, d_max=2)
+    assert report.checked == 60 and report.violations == 0
+    assert len(calls) == 20

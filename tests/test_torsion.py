@@ -4,7 +4,7 @@ import random
 import pytest
 
 from monodromy import (
-    DegeneratePairingError,
+    DegreeObstruction,
     EnumerationCapError,
     IntMatrix,
     ModMatrix,
@@ -12,11 +12,11 @@ from monodromy import (
     Subgroup,
     TorsionError,
     TorsionModule,
+    classify,
     enumerate_subgroups,
     extend_to_maximal_isotropic,
     fixed_subgroup,
     fixes_pointwise,
-    induced_pairing,
     orthogonal_complement,
     standard_module,
     standard_symplectic_form,
@@ -37,6 +37,7 @@ from _oracles import (
     is_maximal_isotropic,
     leibniz_det,
     pair,
+    riemann_form,
     scalar_polarization,
     span_closure,
     structure_from_counts,
@@ -59,7 +60,9 @@ class TestTorsionModule:
         assert m.dimension == 2
         assert m.rank == 4
         assert m.order == 625
-        assert m.is_nondegenerate()
+        # the Gram matrix is always J mod n, so its determinant is 1
+        assert m.gram == standard_symplectic_form(2).reduce_mod(5)
+        assert leibniz_det(m.gram.data) % 5 == 1
 
     def test_standard_pairing_values(self):
         m = standard_module(7, 1)
@@ -82,12 +85,9 @@ class TestTorsionModule:
             TorsionModule(0, 1)
         with pytest.raises(TorsionError):
             TorsionModule(4, 0)
-        # symmetric form rejected
-        with pytest.raises(TorsionError):
-            TorsionModule(5, 1, ModMatrix(5, [[0, 1], [1, 0]]))
-        # wrong size
-        with pytest.raises(TorsionError):
-            TorsionModule(5, 2, standard_symplectic_form(1))
+        # the pairing is always J mod n: no Gram matrix is taken
+        with pytest.raises(TypeError):
+            TorsionModule(5, 1, ModMatrix(5, [[0, 1], [-1, 0]]))
 
     @pytest.mark.parametrize("level,dimension,kind", [
         (4.0, 1, "float"), (2.5, 1, "float"), (True, 1, "bool"), ("4", 1, "str"),
@@ -300,13 +300,6 @@ class TestIsotropic:
         assert is_isotropic(s)
         assert not is_maximal_isotropic(s)
 
-    def test_degenerate_pairing_rejected(self):
-        gram = ModMatrix(4, [[0, 2], [-2, 0]])
-        m = TorsionModule(4, 1, gram)
-        assert not m.is_nondegenerate()
-        with pytest.raises(DegeneratePairingError):
-            is_maximal_isotropic(m.subgroup([]))
-
 
 class TestFixedSubgroup:
     def test_minus_identity_mod_four(self):
@@ -456,26 +449,17 @@ class TestMaximalIsotropicExtension:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_every_subgroup_under_a_moved_form_matches_element_set_greedy(self, n):
-        # under the standard form the Howell rows of H-perp are often
-        # coordinate vectors; a Gram matrix U^T J U moves them
-        rng = random.Random(n)
-        while True:
-            u = IntMatrix([[rng.randrange(n) for _ in range(4)] for _ in range(4)])
-            if math.gcd(u.det(), n) == 1:
-                break
-        gram = (u.transpose() @ standard_symplectic_form(2) @ u).reduce_mod(n)
-        m = TorsionModule(n, 2, gram)
+        # under a moved form U^T J U (U invertible mod n) the subgroup S
+        # behaves as S U^T does under J, and S U^T runs over every
+        # subgroup as S does; so the scan over all subgroups under the
+        # standard form covers the moved cases, with the same count
+        m = standard_module(n, 2)
         checked = 0
         for sub in enumerate_subgroups(m):
             if orthogonal_complement(sub).is_subgroup_of(sub):
                 assert is_isotropic_extension(sub, extend_to_maximal_isotropic(sub))
                 checked += 1
         assert checked == {3: 81, 4: 517}[n]
-
-    def test_degenerate_module_rejected(self):
-        m = TorsionModule(4, 1, ModMatrix(4, [[0, 2], [-2, 0]]))
-        with pytest.raises(DegeneratePairingError):
-            extend_to_maximal_isotropic(full_subgroup(m))
 
 
 class TestPolarization:
@@ -485,46 +469,66 @@ class TestPolarization:
         with pytest.raises(TorsionError):
             Polarization(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
+    def test_polarization_is_checked_where_it_is_made(self):
+        # singular, and nonsingular with J P not antisymmetric (d = 1,
+        # P = diag(1, 2): J P = [[0, 2], [-1, 0]])
+        with pytest.raises(TorsionError, match="nonsingular"):
+            Polarization(IntMatrix([[1, 2], [2, 4]]))
+        with pytest.raises(TorsionError, match="antisymmetric"):
+            Polarization(IntMatrix([[1, 0], [0, 2]]))
+        pol = Polarization(IntMatrix([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 1, 2]]))
+        assert pol.degree == abs(leibniz_det(pol.matrix.data)) == 4
+        assert pol.form.to_lists() == riemann_form(pol.matrix.data)
+
     def test_induced_pairing_scales_gram(self):
-        m = standard_module(5, 1)
-        scaled = induced_pairing(m, scalar_polarization(1, 2))
-        assert scaled.gram == ModMatrix(5, [[0, 2], [-2, 0]])
-        assert scaled.is_nondegenerate()
+        # the pairing a polarization induces at level n is J P mod n
+        pol = scalar_polarization(1, 2)
+        assert pol.form.reduce_mod(5) == ModMatrix(5, [[0, 2], [-2, 0]])
+        assert classify(IntMatrix([[1, 1], [0, 1]])).fixes_maximal_isotropic(5, pol)
 
     def test_induced_pairing_may_degenerate(self):
-        m = standard_module(4, 1)
-        degenerate = induced_pairing(m, scalar_polarization(1, 2))
-        assert not degenerate.is_nondegenerate()
+        pol = scalar_polarization(1, 2)
+        assert math.gcd(leibniz_det(riemann_form(pol.matrix.data)), 4) != 1
+        with pytest.raises(DegreeObstruction):
+            classify(IntMatrix([[1, 1], [0, 1]])).fixes_maximal_isotropic(4, pol)
 
     def test_nondegeneracy_is_the_unit_determinant(self):
-        # read once per module; the reference is the Leibniz determinant.
-        # diag(A, A^T) keeps the induced form alternating, degree det(A)^2
+        # the gate against the Leibniz determinant of J P mod n.
+        # diag(A, A^T) keeps J P antisymmetric, degree det(A)^2
+        gen = classify(IntMatrix.identity(4))
         for n in range(1, 13):
             for k in range(1, 7):
                 pol = Polarization(IntMatrix([
                     [k, 1, 0, 0], [0, 1, 0, 0], [0, 0, k, 0], [0, 0, 1, 1],
                 ]))
-                m = induced_pairing(standard_module(n, 2), pol)
-                expected = math.gcd(leibniz_det(m.gram.data), n) == 1
-                assert m.is_nondegenerate() == expected == (math.gcd(k, n) == 1)
+                form = [[x % n for x in row] for row in riemann_form(pol.matrix.data)]
+                expected = math.gcd(leibniz_det(form), n) == 1
+                assert expected == (math.gcd(k, n) == 1)
+                if expected:
+                    assert gen.fixes_maximal_isotropic(n, pol)
+                else:
+                    with pytest.raises(DegreeObstruction):
+                        gen.fixes_maximal_isotropic(n, pol)
 
     def test_induced_pairing_size_mismatch(self):
-        with pytest.raises(TorsionError):
-            induced_pairing(standard_module(5, 2), Polarization(IntMatrix.identity(2)))
+        with pytest.raises(TorsionError, match="size"):
+            classify(IntMatrix.identity(4)).fixes_maximal_isotropic(
+                5, Polarization(IntMatrix.identity(2)))
 
     def test_compatibility(self):
         # tau respects the polarization at level 5 when it preserves the
-        # induced pairing: tau^T (G pol) tau = G pol mod 5
+        # induced pairing: tau^T (J P) tau = J P mod 5
         def preserves(tau, pol):
-            gram = induced_pairing(standard_module(5, 1), pol).gram
+            gram = IntMatrix(riemann_form(pol.matrix.data)).reduce_mod(5)
             t = tau.reduce_mod(5)
             return t.transpose() @ gram @ t == gram
 
         rot = IntMatrix([[0, -1], [1, 0]])
         shear = IntMatrix([[1, 1], [0, 1]])
         for pol in (Polarization(IntMatrix.identity(2)), scalar_polarization(1, 3)):
-            assert preserves(rot, pol)
-            assert preserves(shear, pol)
+            assert preserves(rot, pol) and pol.preserved_by(rot)
+            assert preserves(shear, pol) and pol.preserved_by(shear)
         # non-symplectic matrix fails against the principal form
         bad = IntMatrix([[2, 0], [0, 1]])
         assert not preserves(bad, Polarization(IntMatrix.identity(2)))
+        assert not Polarization(IntMatrix.identity(2)).preserved_by(bad)
