@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
-from .matrices import IntMatrix, standard_symplectic_form
+from .matrices import IntMatrix, _apply_j
 
 IDENTITY_2 = IntMatrix.identity(2)
 MINUS_IDENTITY_2 = IntMatrix([[-1, 0], [0, -1]])
@@ -93,11 +93,10 @@ def _split_blocks(m: IntMatrix) -> List[IntMatrix]:
 
 def symplectic_transvection(d: int, v: Sequence[int], c: int) -> IntMatrix:
     """x maps to x + c<x, v>v; symplectic for every integer c."""
-    j = standard_symplectic_form(d)
     n = 2 * d
-    jv = [sum(j.data[i][k] * v[k] for k in range(n)) for i in range(n)]
     # <x, v> = x^T J v = (Jv) . x, so the update is the rank-one
-    # matrix c v (Jv)^T added to the identity
+    # matrix c v (Jv)^T added to the identity, J applied to v as a column
+    (jv,) = zip(*_apply_j([(x,) for x in v[:n]]))
     return IntMatrix(
         [
             [(1 if i == k else 0) + c * v[i] * jv[k] for k in range(n)]

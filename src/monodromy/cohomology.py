@@ -26,9 +26,9 @@ from .inertia import (
 from .matrices import (
     IntMatrix,
     ModMatrix,
+    _apply_j,
     _check_modulus,
     exterior_power,
-    standard_symplectic_form,
 )
 
 
@@ -58,8 +58,8 @@ def cohomology_action(gen: InertiaGenerator, k: int, n: int = 0) -> CohomologyAc
     """Action on degree-k cohomology with Z/nZ (or integral) coefficients.
 
     Degree one is the inverse transpose of tau, which is -J tau J as
-    tau^T J tau = J and J^-1 = -J; higher degrees are its exterior
-    powers.
+    tau^T J tau = J and J^-1 = -J, formed as (J (J tau)^T)^T by J's
+    block shuffle with no product; higher degrees are its exterior powers.
 
     Raises:
       InertiaError: k outside 0..2d, or n < 0.
@@ -68,8 +68,7 @@ def cohomology_action(gen: InertiaGenerator, k: int, n: int = 0) -> CohomologyAc
     if k < 0 or k > gen.rank:
         raise InertiaError(f"degree {k} outside 0..{gen.rank}")
     _require_coefficients(gen, n)
-    j = standard_symplectic_form(gen.dimension)
-    base_z = -(j @ gen.matrix @ j)
+    base_z = IntMatrix._trusted(tuple(zip(*_apply_j(tuple(zip(*_apply_j(gen.matrix.data)))))))
     if n == 0:
         base: Union[IntMatrix, ModMatrix] = base_z
     else:

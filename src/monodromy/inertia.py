@@ -27,13 +27,13 @@ from .matrices import (
     IntMatrix,
     ModMatrix,
     SmithDecomposition,
+    _apply_j,
     _check_modulus,
     _faddeev_leverrier,
     _poly_at,
     _smith_kernel_gens,
     howell_form,
     smith_normal_form,
-    standard_symplectic_form,
 )
 from .polynomials import cyclotomic_poly
 from .torsion import (
@@ -243,13 +243,16 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
 
     One Faddeev-LeVerrier run gives the characteristic polynomial chi
     and its Horner partial sums at tau, and decides everything else.
-    With f the product of the distinct cyclotomic Phi_k dividing chi
-    and m the lcm of those k, x^m - 1 = f g with g prime to chi, so
-    g(tau) is invertible: tau^m = I iff f(tau) = 0, and
-    (tau^m - I)^2 = 0 iff f(tau)^2 = 0.  f(tau) is a weighted sum of
-    the partial sums (matrices._poly_at), and deg f = 2d means f = chi,
-    which vanishes at tau.  Only an infinite-order tau pays one matrix
-    product, f(tau) f(tau).  The run is kept on the generator.
+    The run checked tau N_(2d-1) = -c_0 I, and tau^T J tau = J iff
+    tau^-1 = -J tau^T J, so tau is symplectic iff c_0 = 1 and N_(2d-1)
+    = J tau^T J, tested by J's block shuffle with no product.  With f
+    the product of the distinct cyclotomic Phi_k dividing chi and m the
+    lcm of those k, x^m - 1 = f g with g prime to chi, so g(tau) is
+    invertible: tau^m = I iff f(tau) = 0, and (tau^m - I)^2 = 0 iff
+    f(tau)^2 = 0.  f(tau) is a weighted sum of the partial sums
+    (matrices._poly_at), and deg f = 2d means f = chi, which vanishes
+    at tau.  Only an infinite-order tau pays a matrix product,
+    f(tau) f(tau).  The run is kept on the generator.
 
     Raises:
       NotSymplectic: wrong shape or tau^T J tau != J.
@@ -266,17 +269,10 @@ def classify(matrix: IntMatrix, residue_char: int = 0) -> InertiaGenerator:
     if not matrix.is_square or matrix.rows % 2 or matrix.rows < 2:
         raise NotSymplectic("matrix must be square of even positive size")
     d = matrix.rows // 2
-    # tau^T (J tau), where J tau is tau's bottom half over minus its top half
-    t = matrix.data
-    neg = operator.neg
-    j_tau = t[d:] + tuple([tuple(map(neg, row)) for row in t[:d]])
-    mul = operator.mul
-    j_cols = tuple(zip(*j_tau))
-    if tuple([
-        tuple([sum(map(mul, col, jc)) for jc in j_cols]) for col in zip(*t)
-    ]) != standard_symplectic_form(d).data:
-        raise NotSymplectic("matrix does not preserve the standard symplectic form")
     horner = _faddeev_leverrier(matrix)
+    # J N_(2d-1) = (J tau)^T iff N_(2d-1) = J tau^T J, as J^2 = -I
+    if horner[0].coeffs[0] != 1 or _apply_j(horner[1][-1]) != tuple(zip(*_apply_j(matrix.data))):
+        raise NotSymplectic("matrix does not preserve the standard symplectic form")
     try:
         factors = cyclotomic_factor(horner[0])
     except NonCyclotomicFactor as exc:

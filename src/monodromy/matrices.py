@@ -203,15 +203,18 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
+def _apply_j(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """J a for a given by its 2d rows, with no product: the lower half of
+    a over minus its upper half.  J's blocks are written out only here."""
+    d = len(rows) // 2
+    return tuple(map(tuple, rows[d:])) + tuple([tuple(map(operator.neg, r)) for r in rows[:d]])
+
+
 @lru_cache(maxsize=None, typed=True)
 def standard_symplectic_form(d: int) -> IntMatrix:
-    """The integer Gram matrix [[0, I], [-I, 0]] of size 2d, one shared
-    immutable instance per d."""
-    g = [[0] * (2 * d) for _ in range(2 * d)]
-    for i in range(d):
-        g[i][d + i] = 1
-        g[d + i][i] = -1
-    return IntMatrix(g)
+    """The integer Gram matrix J = [[0, I], [-I, 0]] of size 2d, J
+    applied to the identity, one shared immutable instance per d."""
+    return IntMatrix._trusted(_apply_j(IntMatrix.identity(2 * d).data))
 
 
 class ModMatrix:
@@ -426,12 +429,13 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     dividing the next.  The row operations are not recorded.
 
     The result is checked in every interpreter mode, with an
-    AssertionError: d_i divides column i of a V (the column is zero
-    when d_i = 0 or i is past the divisors), and |det V| = 1.  Then at
-    every level n the kernel generators (_smith_kernel_gens) lie in the
-    kernel of a mod n and span prod gcd(d_i, n) points, a lower bound on
-    its order; with divisors equal to the determinantal divisors of a
-    the check implies a unimodular U with U a V = D (the argument is in
+    AssertionError: d_i divides column i of a V (zero if d_i = 0 or i is
+    past the divisors; skipped if d_i = 1, which divides anything), and
+    |det V| = 1.  Then at every level n the kernel generators
+    (_smith_kernel_gens) lie in the kernel of a mod n and span
+    prod gcd(d_i, n) points, a lower bound on its order; with divisors
+    equal to the determinantal divisors of a the check implies a
+    unimodular U with U a V = D (the argument is in
     tests/test_matrices.py, TestSmithNormalForm).
     """
     rows, cols = a.rows, a.cols
@@ -501,10 +505,11 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 m[t] = [x + y for x, y in zip(m[t], m[stain])]
     divisors = tuple(m[i][i] for i in range(min(rows, cols)))
     mul = operator.mul
-    for i, col in enumerate(vt):
+    # the divisors equal to 1 come first, as each divides the next
+    for i in range(divisors.count(1), cols):
         q = divisors[i] if i < len(divisors) else 0
         for row in a.data:
-            x = sum(map(mul, row, col))
+            x = sum(map(mul, row, vt[i]))
             if x % q if q else x:
                 raise AssertionError(f"Smith divisor {q} does not divide column {i} of A V")
     v = IntMatrix._trusted(tuple(zip(*vt)))

@@ -24,6 +24,7 @@ from .matrices import (
     IntMatrix,
     MatrixError,
     ModMatrix,
+    _apply_j,
     _entry,
     howell_form,
     howell_pivots,
@@ -172,7 +173,7 @@ class Polarization(Record):
     (J the standard symplectic form) is antisymmetric over Z, hence
     alternating at every level.  Each is checked here, so every
     Polarization in hand is one.  degree = |det P| = |det J P| (det J =
-    1) and the form J P are kept outside the fields.
+    1) and the form J P, a block shuffle of P, are kept outside the fields.
     """
 
     __slots__ = ("matrix", "degree", "form")
@@ -185,7 +186,7 @@ class Polarization(Record):
         if degree == 0:
             raise TorsionError("polarization matrix must be nonsingular, "
                                "but its determinant is 0")
-        form = standard_symplectic_form(matrix.rows // 2) @ matrix
+        form = IntMatrix._trusted(_apply_j(matrix.data))
         # over Z, antisymmetry alone forces the zero diagonal
         if form.transpose() != -form:
             raise TorsionError("polarization matrix must induce an alternating form: "

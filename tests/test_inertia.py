@@ -16,6 +16,7 @@ from monodromy import (
     NotSymplectic,
     Polarization,
     WildRamification,
+    char_poly,
     classify,
     elliptic_criteria,
     exceptional_criterion,
@@ -177,6 +178,16 @@ class TestClassify:
             classify(IntMatrix([[1]]))
         with pytest.raises(NotSymplectic):
             classify(IntMatrix([[2, 0], [0, 1]]))
+        # anti-symplectic, tau^T J tau = -J: the swap has c_0 = -1, while
+        # diag(1, 1, -1, -1) has c_0 = 1 and only fails N_3 = J tau^T J
+        swap = IntMatrix([[0, 1], [1, 0]])
+        diagonal = IntMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+        for tau, c0 in ((swap, -1), (diagonal, 1)):
+            j = standard_symplectic_form(tau.rows // 2)
+            assert tau.transpose() @ j @ tau == -j
+            assert char_poly(tau).coeffs[0] == c0
+            with pytest.raises(NotSymplectic, match="does not preserve the standard symplectic"):
+                classify(tau)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_symplectic_form_broken_in_one_half(self, d):

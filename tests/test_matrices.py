@@ -19,6 +19,7 @@ from monodromy import (
 )
 
 from monodromy.catalog import catalog_matrices, random_symplectic_conjugate
+from monodromy.matrices import _apply_j
 
 from _oracles import (
     SingularMatrixError,
@@ -209,6 +210,14 @@ class TestStandardSymplecticForm:
     def test_empty_form_refused(self):
         with pytest.raises(DimensionError):
             standard_symplectic_form(0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_shuffle_is_the_product(self, d):
+        rng = random.Random(d)
+        j = standard_symplectic_form(d)
+        for cols in (1, 2 * d, 2 * d + 3):
+            a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(2 * d)])
+            assert _apply_j(a.data) == (j @ a).data
 
 
 class TestModMatrix:
